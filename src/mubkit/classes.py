@@ -76,12 +76,35 @@ class CommutingClass:
 
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
-    """All d+1 classes of a family, flat view class-major."""
+    """All d+1 classes of a family, flat view class-major.
+
+    Class i belongs to basis i of the family: exactly d+1 classes, each of
+    d-1 operators of shape (d, d), in family order.
+    """
 
     dim: int
     classes: tuple[CommutingClass, ...]
     family: MubFamily
     coefficients: CoefficientVectors
+
+    def __post_init__(self):
+        d = self.dim
+        if self.family.dim != d:
+            raise ValueError(f"family dimension {self.family.dim} does not match set dimension {d}")
+        if len(self.classes) != d + 1:
+            raise ValueError(f"an operator set in dimension {d} needs {d + 1} classes, "
+                             f"got {len(self.classes)}")
+        for cls, label in zip(self.classes, self.family.labels):
+            if cls.basis_label != label:
+                raise ValueError(f"class {cls.basis_label!r} stands where basis {label!r} "
+                                 "is expected; classes must follow family order")
+            if len(cls.operators) != d - 1:
+                raise ValueError(f"class {label!r} needs {d - 1} operators, "
+                                 f"got {len(cls.operators)}")
+            for op in cls.operators:
+                if np.shape(op) != (d, d):
+                    raise ValueError(f"class {label!r} has an operator of shape "
+                                     f"{np.shape(op)}, expected {(d, d)}")
 
     @property
     def operators(self) -> tuple[np.ndarray, ...]:
@@ -109,12 +132,12 @@ def build_class(basis: Basis, coeffs: CoefficientVectors) -> CommutingClass:
     """
     if basis.dim != coeffs.dim:
         raise ValueError(f"dimension mismatch: basis {basis.dim} vs coefficients {coeffs.dim}")
-    projectors = tuple(basis.projector(i) for i in range(basis.dim))
-    operators = tuple(
-        sum(coeffs.vectors[k, i] * projectors[i] for i in range(basis.dim))
-        for k in range(basis.dim - 1)
-    )
-    return CommutingClass(basis.label, operators, projectors)
+    b = basis.matrix.T  # row i is |b_i>
+    proj = b[:, :, np.newaxis] * b.conj()[:, np.newaxis, :]
+    ops = np.zeros((basis.dim - 1, basis.dim, basis.dim), dtype=np.complex128)
+    for i in range(basis.dim):
+        ops += coeffs.vectors[:, i, np.newaxis, np.newaxis] * proj[i]
+    return CommutingClass(basis.label, tuple(ops), tuple(proj))
 
 
 def build_set(family: MubFamily, tol: float = DEFAULT_TOL) -> OperatorSet:
@@ -161,53 +184,58 @@ def verify_set(s: OperatorSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     """
     tol = validate_tolerance(tol)
     d = s.dim
-    ops = list(s.operators)
+    m = d - 1
+    n = len(s.classes)
+    # a[c, k] is operator k of class c
+    a = np.array([cls.operators for cls in s.classes], dtype=np.complex128)
     results = []
 
-    dev = max(float(np.abs(a - a.conj().T).max()) for a in ops)
+    dev = float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
     results.append(CheckResult("hermiticity", dev, dev <= tol))
 
-    dev = max(abs(complex(np.trace(a))) for a in ops)
+    dev = float(np.abs(np.trace(a, axis1=-2, axis2=-1)).max())
     results.append(CheckResult("tracelessness", dev, dev <= tol))
 
-    stack = np.array([a.conj().ravel() for a in ops])
-    gram = stack @ np.array([a.ravel() for a in ops]).T
-    dev = float(np.abs(gram - d * np.eye(len(ops))).max())
+    # Gram matrix of identity plus the flat operator list; the operator block
+    # alone is the HS check, the whole matrix the completeness check
+    full = np.concatenate([np.eye(d, dtype=np.complex128).reshape(1, -1),
+                           a.reshape(n * m, d * d)])
+    gram = full.conj() @ full.T
+    gram[np.diag_indices_from(gram)] -= d
+    dev = float(np.abs(gram[1:, 1:]).max())
     results.append(CheckResult("hs_orthogonality", dev, dev <= tol))
+    completeness = float(np.abs(gram).max())
 
-    dev = 0.0
-    for cls in s.classes:
-        for i in range(len(cls.operators)):
-            for j in range(i + 1, len(cls.operators)):
-                a, b = cls.operators[i], cls.operators[j]
-                dev = max(dev, float(np.abs(a @ b - b @ a).max()))
+    # rows[i] @ cols[j] holds every product A_k A'_l at [(k, r), (l, c)], so a
+    # class pair costs two GEMMs instead of (d-1)^2 pairs of matmuls. The
+    # product buffers are reused: fresh arrays per pair cost more than the GEMMs.
+    rows = a.reshape(n, m * d, d)
+    cols = a.transpose(0, 2, 1, 3).reshape(n, d, m * d)
+    x = np.empty((m * d, m * d), dtype=np.complex128)
+    y = np.empty_like(x)
+    mag = np.empty((m, d, m, d))
+
+    def commutator_max(i: int, j: int) -> float:
+        # [A_k, A'_l][r, c] = x[k, r, l, c] - y[l, r, k, c]
+        np.matmul(rows[i], cols[j], out=x)
+        np.matmul(rows[j], cols[i], out=y)
+        x4 = x.reshape(m, d, m, d)
+        np.subtract(x4, y.reshape(m, d, m, d).transpose(2, 1, 0, 3), out=x4)
+        return float(np.abs(x4, out=mag).max())
+
+    dev = max(commutator_max(i, i) for i in range(n))
     results.append(CheckResult("within_class_commutation", dev, dev <= tol))
 
-    dev = 0.0
-    for cls, basis in zip(s.classes, s.family.bases):
-        for k, op in enumerate(cls.operators):
-            want = s.coefficients.vectors[k][np.newaxis, :] * basis.matrix
-            dev = max(dev, float(np.abs(op @ basis.matrix - want).max()))
+    bases = np.array([b.matrix for b in s.family.bases])
+    want = s.coefficients.vectors[np.newaxis, :, np.newaxis, :] * bases[:, np.newaxis]
+    got = (rows @ bases).reshape(n, m, d, d)
+    dev = float(np.abs(got - want).max())
     results.append(CheckResult("eigen_relation", dev, dev <= tol))
 
-    witness = np.inf
-    n = len(s.classes)
-    for i in range(n):
-        for j in range(i + 1, n):
-            best = 0.0
-            for a in s.classes[i].operators:
-                for b in s.classes[j].operators:
-                    best = max(best, float(np.abs(a @ b - b @ a).max()))
-            witness = min(witness, best)
-    if n < 2:
-        witness = 0.0
-    results.append(CheckResult("cross_class_witness", float(witness),
+    witness = min(commutator_max(i, j) for i in range(n) for j in range(i + 1, n))
+    results.append(CheckResult("cross_class_witness", witness,
                                witness >= NONCOMMUTING_FLOOR))
 
-    full = [np.eye(d, dtype=np.complex128)] + ops
-    stack = np.array([a.conj().ravel() for a in full])
-    gram = stack @ np.array([a.ravel() for a in full]).T
-    dev = float(np.abs(gram - d * np.eye(len(full))).max())
-    results.append(CheckResult("completeness", dev, dev <= tol))
+    results.append(CheckResult("completeness", completeness, completeness <= tol))
 
     return VerificationReport(tuple(results))

@@ -222,7 +222,11 @@ def _read_operator_set(src: Path, family: MubFamily) -> OperatorSet:
         basis = by_label[label]
         projectors = tuple(basis.projector(i) for i in range(dim))
         classes.append(CommutingClass(label, tuple(ops), projectors))
-    return OperatorSet(dim, tuple(classes), family, coefficient_vectors(dim))
+    coeffs = coefficient_vectors(dim)
+    try:
+        return OperatorSet(dim, tuple(classes), family, coeffs)
+    except ValueError as exc:
+        raise _LoadError(f"malformed operator export: {exc}")
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,8 @@ class MeasurementRecord:
         if p.ndim != 2 or p.shape[1] != self.dim or p.shape[0] != len(self.labels):
             raise ValueError(f"probability array shape {p.shape} does not match "
                              f"{len(self.labels)} bases of dimension {self.dim}")
+        if not np.isfinite(p).all():
+            raise ValueError("probabilities must be finite")
         if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
             raise ValueError("probabilities must lie in [0, 1]")
         if np.abs(p.sum(axis=1) - 1.0).max() > 1e-9:
@@ -241,6 +243,9 @@ def reconstruct_from_record(record: MeasurementRecord, s: OperatorSet,
     """
     if record.dim != s.dim:
         raise ValueError(f"dimension mismatch: record {record.dim} vs set {s.dim}")
+    if record.labels != s.family.labels:
+        raise ValueError(f"record bases {list(record.labels)} do not match the family's "
+                         f"bases {list(s.family.labels)} in order")
     a = coefficients_from_probabilities(record, s.coefficients)
     estimate = reconstruct(a, s)
     if project:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mubkit.classes import (
+    NONCOMMUTING_FLOOR,
     CoefficientVectors,
     CommutingClass,
     OperatorSet,
@@ -13,7 +14,7 @@ from mubkit.classes import (
     conjugate_class,
     verify_set,
 )
-from mubkit.matcore import max_abs
+from mubkit.matcore import DEFAULT_TOL, max_abs
 from mubkit.mub import (
     Basis,
     BasisTransform,
@@ -130,18 +131,34 @@ def test_build_set_rejects_non_mub_family():
         build_set(MubFamily(3, bases))
 
 
+def replace_class_operators(opset, index, ops):
+    cls = opset.classes[index]
+    classes = list(opset.classes)
+    classes[index] = CommutingClass(cls.basis_label, tuple(ops), cls.projectors)
+    return OperatorSet(opset.dim, tuple(classes), opset.family, opset.coefficients)
+
+
+def identity_replacement(opset):
+    ops = opset.classes[1].operators
+    return replace_class_operators(opset, 1, (np.eye(opset.dim, dtype=complex),) + ops[1:])
+
+
+def duplicate_operator(opset):
+    ops = opset.classes[1].operators
+    return replace_class_operators(opset, 1, (ops[1], ops[1]) + ops[2:])
+
+
+def non_hermitian_perturbation(opset):
+    ops = opset.classes[1].operators
+    bumped = ops[0].copy()
+    bumped[0, 1] += 1e-6 + 1e-6j
+    return replace_class_operators(opset, 1, (bumped,) + ops[1:])
+
+
 def test_verify_set_flags_identity_replacement():
     # an identity inserted in place of an operator keeps HS orthogonality
     # against the traceless rest but breaks trace, eigen and completeness
-    opset = build_set(builtin_family(3))
-    cls = opset.classes[1]
-    ops = (np.eye(3, dtype=complex),) + cls.operators[1:]
-    tampered = OperatorSet(
-        opset.dim,
-        (opset.classes[0], CommutingClass(cls.basis_label, ops, cls.projectors))
-        + opset.classes[2:],
-        opset.family, opset.coefficients)
-    report = verify_set(tampered)
+    report = verify_set(identity_replacement(build_set(builtin_family(3))))
     assert not report.passed
     assert not report.result("tracelessness").passed
     assert not report.result("eigen_relation").passed
@@ -150,17 +167,93 @@ def test_verify_set_flags_identity_replacement():
 
 
 def test_verify_set_flags_duplicate_operator():
-    opset = build_set(builtin_family(3))
-    cls = opset.classes[1]
-    ops = (cls.operators[1], cls.operators[1])
-    tampered = OperatorSet(
-        opset.dim,
-        (opset.classes[0], CommutingClass(cls.basis_label, ops, cls.projectors))
-        + opset.classes[2:],
-        opset.family, opset.coefficients)
-    report = verify_set(tampered)
+    report = verify_set(duplicate_operator(build_set(builtin_family(3))))
     assert not report.result("hs_orthogonality").passed
     assert not report.passed
+
+
+def reference_checks(s, tol=DEFAULT_TOL):
+    """verify_set's seven metrics as one loop per operator or operator pair:
+    the definition the stacked implementation must reproduce."""
+    d = s.dim
+    ops = list(s.operators)
+    results = []
+
+    dev = max(float(np.abs(a - a.conj().T).max()) for a in ops)
+    results.append(("hermiticity", dev, dev <= tol))
+
+    dev = max(abs(complex(np.trace(a))) for a in ops)
+    results.append(("tracelessness", dev, dev <= tol))
+
+    stack = np.array([a.conj().ravel() for a in ops])
+    gram = stack @ np.array([a.ravel() for a in ops]).T
+    dev = float(np.abs(gram - d * np.eye(len(ops))).max())
+    results.append(("hs_orthogonality", dev, dev <= tol))
+
+    dev = 0.0
+    for cls in s.classes:
+        for i in range(len(cls.operators)):
+            for j in range(i + 1, len(cls.operators)):
+                a, b = cls.operators[i], cls.operators[j]
+                dev = max(dev, float(np.abs(a @ b - b @ a).max()))
+    results.append(("within_class_commutation", dev, dev <= tol))
+
+    dev = 0.0
+    for cls, basis in zip(s.classes, s.family.bases):
+        for k, op in enumerate(cls.operators):
+            want = s.coefficients.vectors[k][np.newaxis, :] * basis.matrix
+            dev = max(dev, float(np.abs(op @ basis.matrix - want).max()))
+    results.append(("eigen_relation", dev, dev <= tol))
+
+    witness = np.inf
+    n = len(s.classes)
+    for i in range(n):
+        for j in range(i + 1, n):
+            best = 0.0
+            for a in s.classes[i].operators:
+                for b in s.classes[j].operators:
+                    best = max(best, float(np.abs(a @ b - b @ a).max()))
+            witness = min(witness, best)
+    results.append(("cross_class_witness", float(witness), witness >= NONCOMMUTING_FLOOR))
+
+    full = [np.eye(d, dtype=np.complex128)] + ops
+    stack = np.array([a.conj().ravel() for a in full])
+    gram = stack @ np.array([a.ravel() for a in full]).T
+    dev = float(np.abs(gram - d * np.eye(len(full))).max())
+    results.append(("completeness", dev, dev <= tol))
+    return results
+
+
+def assert_matches_reference(s):
+    got = [(r.check, r.worst_deviation, r.passed) for r in verify_set(s)]
+    want = reference_checks(s)
+    assert [(name, ok) for name, _, ok in got] == [(name, ok) for name, _, ok in want]
+    for (name, value, _), (_, expected, _) in zip(got, want):
+        assert abs(value - expected) <= 1e-12, name
+
+
+@pytest.mark.parametrize("d", ALL_DIMS + (13,))
+def test_verify_set_matches_loop_reference(d):
+    assert_matches_reference(build_set(family_for(d)))
+
+
+@pytest.mark.parametrize("tamper", [identity_replacement, duplicate_operator,
+                                    non_hermitian_perturbation])
+@pytest.mark.parametrize("d", [3, 5])
+def test_verify_set_matches_loop_reference_on_tampered_sets(d, tamper):
+    assert_matches_reference(tamper(build_set(family_for(d))))
+
+
+@pytest.mark.parametrize("d", ALL_DIMS + (13,))
+def test_build_set_equals_projector_sum(d):
+    opset = build_set(family_for(d))
+    c = opset.coefficients.vectors
+    for cls, basis in zip(opset.classes, opset.family.bases):
+        projectors = [basis.projector(i) for i in range(d)]
+        for got, want in zip(cls.projectors, projectors):
+            assert np.array_equal(got, want)
+        for k, op in enumerate(cls.operators):
+            assert np.array_equal(op, sum(c[k, i] * projectors[i] for i in range(d)))
 
 
 def test_flat_ordering_is_class_major():

@@ -158,6 +158,32 @@ def test_verify_catches_tampered_operator(tmp_path, capsys):
     assert "eigen_relation" in failing
 
 
+def _drop_one_name(classes):
+    classes[1]["operators"].pop()
+
+
+def _drop_one_class(classes):
+    classes.pop()
+
+
+def _reverse_classes(classes):
+    classes.reverse()
+
+
+@pytest.mark.parametrize("edit", [_drop_one_name, _drop_one_class, _reverse_classes])
+def test_verify_rejects_truncated_or_reordered_operator_export(tmp_path, capsys, edit):
+    # a subset of an orthonormal set is still orthonormal, so without a
+    # structural check a truncated export would verify as passing
+    out = tmp_path / "ops"
+    run_json(capsys, "operators", "--dim", "3", "--out", str(out))
+    manifest = json.loads((out / "operators.json").read_text())
+    edit(manifest["classes"])
+    (out / "operators.json").write_text(json.dumps(manifest))
+    code, data = run_json(capsys, "verify", "--in", str(out))
+    assert code == EXIT_IO
+    assert data["error"] == "io"
+
+
 def test_verify_operators_without_family_is_io_error(tmp_path, capsys):
     out = tmp_path / "ops"
     run_json(capsys, "operators", "--dim", "2", "--out", str(out))

@@ -1,5 +1,7 @@
 """Tests for state reconstruction from MUB measurement statistics."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,11 @@ def test_measurement_record_validation():
         MeasurementRecord(2, ("B1", "B2", "B3"), bad)
     with pytest.raises(ValueError):
         MeasurementRecord(2, ("B1", "B2", "B3"), good, shots=0)
+    for value in (np.nan, np.inf):
+        bad = good.copy()
+        bad[1, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementRecord(2, ("B1", "B2", "B3"), bad)
 
 
 def test_record_json_round_trip(tmp_path):
@@ -234,6 +241,24 @@ def test_record_json_round_trip(tmp_path):
 def test_record_from_json_rejects_malformed():
     family = builtin_family(2)
     data = record_to_json(probabilities(random_density(2, 0), family))
+    for value in (float("nan"), float("inf")):
+        bad = json.loads(json.dumps(data))
+        bad["bases"][0]["p"][0] = value
+        with pytest.raises(ValueError, match="finite"):
+            record_from_json(bad)
     del data["bases"][0]["p"]
     with pytest.raises(ValueError):
         record_from_json(data)
+
+
+@pytest.mark.parametrize("relabel", [
+    lambda labels, probs: (labels[::-1], probs[::-1]),
+    lambda labels, probs: (("X",) + labels[1:], probs),
+], ids=["reversed", "relabelled"])
+def test_reconstruction_rejects_record_with_foreign_basis_order(relabel):
+    family = builtin_family(3)
+    opset = build_set(family)
+    record = probabilities(random_density(3, 0), family)
+    labels, probs = relabel(record.labels, record.probs)
+    with pytest.raises(ValueError, match="do not match"):
+        reconstruct_from_record(MeasurementRecord(3, labels, probs), opset)

@@ -15,7 +15,7 @@ back as report entries, never exceptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,13 +79,16 @@ class OperatorSet:
     """All d+1 classes of a family, flat view class-major.
 
     Class i belongs to basis i of the family: exactly d+1 classes, each of
-    d-1 operators of shape (d, d), in family order.
+    d-1 operators of shape (d, d), in family order. The operators are stored
+    once, as the read-only complex array ``array[i, k]`` = operator k of
+    class i; each class's ``operators`` are views of it.
     """
 
     dim: int
     classes: tuple[CommutingClass, ...]
     family: MubFamily
     coefficients: CoefficientVectors
+    array: np.ndarray = field(init=False, repr=False)  # shape (d+1, d-1, d, d)
 
     def __post_init__(self):
         d = self.dim
@@ -105,13 +108,19 @@ class OperatorSet:
                 if np.shape(op) != (d, d):
                     raise ValueError(f"class {label!r} has an operator of shape "
                                      f"{np.shape(op)}, expected {(d, d)}")
+        a = np.array([cls.operators for cls in self.classes], dtype=np.complex128)
+        a.setflags(write=False)
+        object.__setattr__(self, "array", a)
+        object.__setattr__(self, "classes", tuple(
+            CommutingClass(cls.basis_label, tuple(a[i]), cls.projectors)
+            for i, cls in enumerate(self.classes)))
 
     @property
     def operators(self) -> tuple[np.ndarray, ...]:
-        return tuple(op for cls in self.classes for op in cls.operators)
+        return tuple(self.array.reshape(-1, self.dim, self.dim))
 
     def __len__(self) -> int:
-        return sum(len(cls.operators) for cls in self.classes)
+        return self.array.shape[0] * self.array.shape[1]
 
 
 def coefficient_vectors(d: int) -> CoefficientVectors:
@@ -186,8 +195,7 @@ def verify_set(s: OperatorSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     d = s.dim
     m = d - 1
     n = len(s.classes)
-    # a[c, k] is operator k of class c
-    a = np.array([cls.operators for cls in s.classes], dtype=np.complex128)
+    a = s.array
     results = []
 
     dev = float(np.abs(a - a.conj().swapaxes(-1, -2)).max())

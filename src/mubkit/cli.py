@@ -40,6 +40,7 @@ from .mub import (
     UnsupportedDimensionError,
     builtin_family,
     check_family,
+    family_for,
     odd_prime_family,
 )
 from .tensors import spherical_tensor
@@ -154,7 +155,9 @@ def _read_family(src: Path) -> MubFamily:
     except (KeyError, TypeError, ValueError) as exc:
         raise _LoadError(f"malformed family manifest: {exc!r}")
     bases = []
-    for label in labels:
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise _LoadError(f"family manifest repeats basis label {label}")
         matrix = _load_matrix(src / _basis_filename(label))
         if matrix.shape != (dim, dim):
             raise _LoadError(
@@ -212,6 +215,8 @@ def _read_operator_set(src: Path, family: MubFamily) -> OperatorSet:
             raise _LoadError(f"malformed operator manifest entry: {exc!r}")
         if label not in by_label:
             raise _LoadError(f"operator class references unknown basis {label}")
+        if any(cls.basis_label == label for cls in classes):
+            raise _LoadError(f"operator manifest repeats class label {label}")
         ops = []
         for name in names:
             matrix = _load_matrix(src / name)
@@ -313,27 +318,12 @@ def _print_tables(stream) -> None:
 # subcommands
 
 
-def _family_for(dim: int, source: str) -> MubFamily:
-    if source == "builtin":
-        return builtin_family(dim)
-    return odd_prime_family(dim)
-
-
-def _auto_family(dim: int) -> MubFamily:
-    from .mub import _is_odd_prime, _refuse
-
-    if dim in BUILTIN_DIMS:
-        return builtin_family(dim)
-    if _is_odd_prime(dim):
-        return odd_prime_family(dim)
-    raise _refuse(
-        dim, "operator construction needs a complete MUB family; available"
-        f" sources cover dimensions {BUILTIN_DIMS} and odd primes")
-
-
 def cmd_mub(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
-    family = _family_for(args.dim, args.source)
+    if args.source == "builtin":
+        family = builtin_family(args.dim)
+    else:
+        family = odd_prime_family(args.dim)
     report = check_family(family, tol)
     payload = {
         "command": "mub",
@@ -354,7 +344,7 @@ def cmd_mub(args: argparse.Namespace) -> int:
 
 def cmd_operators(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
-    family = _auto_family(args.dim)
+    family = family_for(args.dim)
     opset = build_set(family, tol)
     report = verify_set(opset, tol)
     payload = {
@@ -407,18 +397,26 @@ def cmd_tensors(args: argparse.Namespace) -> int:
     if args.two_j < 1:
         raise ValueError("--two-j must be a positive integer")
     j = args.two_j / 2
-    ranks = range(args.two_j + 1) if args.k is None else [args.k]
+    if args.k is not None:
+        ranks = [args.k]
+    elif args.q is not None:
+        ranks = range(abs(args.q), args.two_j + 1)  # every rank with a component q
+    else:
+        ranks = range(args.two_j + 1)
+    # build (and so validate) every matrix before the directory is created
+    matrices = {(k, q): spherical_tensor(j, k, q) for k in ranks
+                for q in (range(-k, k + 1) if args.q is None else [args.q])}
+    if not matrices:
+        given = " ".join(f"--{n} {v}" for n, v in (("k", args.k), ("q", args.q)) if v is not None)
+        raise ValueError(f"no component T(k, q) with |q| <= k <= 2j = {args.two_j} matches {given}")
     entries = []
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for k in ranks:
-        components = range(-k, k + 1) if args.q is None else [args.q]
-        for q in components:
-            matrix = spherical_tensor(j, k, q)
-            name = _tensor_filename(k, q)
-            with open(out / name, "w", encoding="utf-8") as fh:
-                json.dump(matrix_to_json(matrix), fh, indent=2)
-            entries.append({"k": k, "q": q, "file": name})
+    for (k, q), matrix in matrices.items():
+        name = _tensor_filename(k, q)
+        with open(out / name, "w", encoding="utf-8") as fh:
+            json.dump(matrix_to_json(matrix), fh, indent=2)
+        entries.append({"k": k, "q": q, "file": name})
     manifest = {"two_j": args.two_j, "entries": entries}
     with open(out / "tensors.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
@@ -443,7 +441,7 @@ def cmd_tomo(args: argparse.Namespace) -> int:
             raise ValueError(f"--shots must be an integer or 'exact': {args.shots!r}")
         if shots < 1:
             raise ValueError("--shots must be positive")
-    family = _auto_family(args.dim)
+    family = family_for(args.dim)
     opset = build_set(family)
     results = []
     for trial in range(args.trials):

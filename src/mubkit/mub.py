@@ -43,6 +43,7 @@ __all__ = [
     "canonical_basis",
     "check_family",
     "check_unbiased",
+    "family_for",
     "fourier_basis",
     "odd_prime_family",
     "one_axis_twist",
@@ -254,6 +255,19 @@ def builtin_family(d: int) -> MubFamily:
     mats = builders[d]()
     bases = tuple(Basis(d, m, f"B{i + 1}") for i, m in enumerate(mats))
     return MubFamily(d, bases)
+
+
+def family_for(d: int) -> MubFamily:
+    """The complete family for d: the built-in tables for d in BUILTIN_DIMS,
+    else the quadratic-phase family for odd prime d.
+    """
+    if d in BUILTIN_DIMS:
+        return builtin_family(d)
+    if _is_odd_prime(d):
+        return odd_prime_family(d)
+    raise _refuse(
+        d, "operator construction needs a complete MUB family; available"
+        f" sources cover dimensions {BUILTIN_DIMS} and odd primes")
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,8 @@ def coefficients(rho, s: OperatorSet, tol: float = 1e-8) -> np.ndarray:
     rho = as_matrix(rho)
     if rho.shape != (s.dim, s.dim):
         raise ValueError(f"dimension mismatch: state {rho.shape} vs set dim {s.dim}")
-    values = np.array([np.trace(rho @ op) for op in s.operators])
+    # Tr(rho A_n) = sum_ij rho[i, j] A_n[j, i]
+    values = np.einsum("ij,nji->n", rho, s.array.reshape(-1, s.dim, s.dim))
     worst = float(np.abs(values.imag).max())
     if worst > tol:
         raise ValueError(f"expansion coefficients have imaginary parts up to {worst:.3e}")
@@ -114,13 +115,10 @@ def coefficients(rho, s: OperatorSet, tol: float = 1e-8) -> np.ndarray:
 def reconstruct(coeffs, s: OperatorSet) -> np.ndarray:
     """rho = (1/d)(I + sum_i a_i A_i)."""
     a = np.asarray(coeffs, dtype=np.float64).ravel()
-    ops = s.operators
-    if a.size != len(ops):
-        raise ValueError(f"expected {len(ops)} coefficients, got {a.size}")
-    rho = np.eye(s.dim, dtype=np.complex128)
-    for ai, op in zip(a, ops):
-        rho = rho + ai * op
-    return rho / s.dim
+    if a.size != len(s):
+        raise ValueError(f"expected {len(s)} coefficients, got {a.size}")
+    flat = s.array.reshape(-1, s.dim, s.dim)
+    return (np.eye(s.dim) + np.tensordot(a, flat, 1)) / s.dim
 
 
 def probabilities(rho, family: MubFamily) -> MeasurementRecord:
@@ -128,12 +126,10 @@ def probabilities(rho, family: MubFamily) -> MeasurementRecord:
     rho = as_matrix(rho)
     if rho.shape != (family.dim, family.dim):
         raise ValueError(f"dimension mismatch: state {rho.shape} vs family dim {family.dim}")
-    rows = []
-    for basis in family.bases:
-        # diagonal of B^dag rho B in one pass
-        p = np.einsum("id,ij,jd->d", basis.matrix.conj(), rho, basis.matrix).real
-        rows.append(np.clip(p, 0.0, 1.0))
-    return MeasurementRecord(family.dim, family.labels, np.array(rows), None)
+    m = np.array([basis.matrix for basis in family.bases])
+    # row b is the diagonal of B_b^dag rho B_b
+    p = (m.conj() * (rho @ m)).sum(axis=1).real
+    return MeasurementRecord(family.dim, family.labels, np.clip(p, 0.0, 1.0), None)
 
 
 def coefficients_from_probabilities(record: MeasurementRecord,

@@ -28,6 +28,7 @@ from mubkit.mub import (
     UnsupportedDimensionError,
     builtin_family,
     check_family,
+    family_for,
     odd_prime_family,
     unitary_between,
 )
@@ -50,10 +51,6 @@ from reference_tables import (
     PAULI_Z,
     alpha_d3,
 )
-
-
-def family_for(d):
-    return builtin_family(d) if d <= 5 else odd_prime_family(d)
 
 
 def report(number, ok, detail):

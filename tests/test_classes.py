@@ -20,16 +20,13 @@ from mubkit.mub import (
     BasisTransform,
     MubFamily,
     builtin_family,
+    family_for,
     odd_prime_family,
     unitary_between,
 )
 from reference_tables import PAULI_X, PAULI_Y, PAULI_Z, alpha_d3
 
 ALL_DIMS = (2, 3, 4, 5, 7, 11)
-
-
-def family_for(d):
-    return builtin_family(d) if d <= 5 else odd_prime_family(d)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -170,6 +167,44 @@ def test_verify_set_flags_duplicate_operator():
     report = verify_set(duplicate_operator(build_set(builtin_family(3))))
     assert not report.result("hs_orthogonality").passed
     assert not report.passed
+
+
+@pytest.mark.parametrize("d", ALL_DIMS)
+def test_operators_are_read_only_views_of_one_array(d):
+    opset = build_set(family_for(d))
+    a = opset.array
+    assert a.shape == (d + 1, d - 1, d, d)
+    assert a.dtype == np.complex128
+    assert not a.flags.writeable
+    for i, cls in enumerate(opset.classes):
+        for k, op in enumerate(cls.operators):
+            assert np.shares_memory(op, a[i, k])
+    for n, op in enumerate(opset.operators):
+        assert np.shares_memory(op, a[n // (d - 1), n % (d - 1)])
+    with pytest.raises(ValueError):
+        opset.classes[1].operators[0][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        opset.operators[-1][0, 1] += 1.0
+
+
+def test_set_owns_its_array():
+    # a later write to the arrays a set was built from leaves the set as built
+    opset = build_set(builtin_family(3))
+    ops = [op.copy() for op in opset.classes[1].operators]
+    s = replace_class_operators(opset, 1, ops)
+    ops[0][0, 0] += 1.0
+    assert np.array_equal(s.array, opset.array)
+
+
+@pytest.mark.parametrize("tamper", [identity_replacement, duplicate_operator,
+                                    non_hermitian_perturbation])
+def test_tampering_through_constructors_shows_in_array(tamper):
+    opset = build_set(builtin_family(3))
+    bad = tamper(opset)
+    for i, cls in enumerate(bad.classes):
+        assert np.array_equal(bad.array[i], np.array(cls.operators))
+    assert not np.array_equal(bad.array[1], opset.array[1])
+    assert np.array_equal(np.delete(bad.array, 1, axis=0), np.delete(opset.array, 1, axis=0))
 
 
 def reference_checks(s, tol=DEFAULT_TOL):

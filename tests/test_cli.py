@@ -158,30 +158,50 @@ def test_verify_catches_tampered_operator(tmp_path, capsys):
     assert "eigen_relation" in failing
 
 
-def _drop_one_name(classes):
-    classes[1]["operators"].pop()
+# each edit changes the family and operator manifests of a d = 3 export and
+# returns a fragment of the message `verify` must give
+def _drop_one_name(family, operators):
+    operators["classes"][1]["operators"].pop()
+    return "class 'B2' needs 2 operators"
 
 
-def _drop_one_class(classes):
-    classes.pop()
+def _drop_one_class(family, operators):
+    operators["classes"].pop()
+    return "needs 4 classes"
 
 
-def _reverse_classes(classes):
-    classes.reverse()
+def _reverse_classes(family, operators):
+    operators["classes"].reverse()
+    return "classes must follow family order"
 
 
-@pytest.mark.parametrize("edit", [_drop_one_name, _drop_one_class, _reverse_classes])
+def _repeat_basis_label(family, operators):
+    family["bases"][1] = "B1"
+    return "repeats basis label B1"
+
+
+def _repeat_class_label(family, operators):
+    operators["classes"][1]["basis_label"] = "B1"
+    return "repeats class label B1"
+
+
+@pytest.mark.parametrize("edit", [_drop_one_name, _drop_one_class, _reverse_classes,
+                                  _repeat_basis_label, _repeat_class_label])
 def test_verify_rejects_truncated_or_reordered_operator_export(tmp_path, capsys, edit):
     # a subset of an orthonormal set is still orthonormal, so without a
-    # structural check a truncated export would verify as passing
+    # structural check a truncated export would verify as passing; a repeated
+    # label reads one file twice and is a malformed export, not a failed check
     out = tmp_path / "ops"
     run_json(capsys, "operators", "--dim", "3", "--out", str(out))
-    manifest = json.loads((out / "operators.json").read_text())
-    edit(manifest["classes"])
-    (out / "operators.json").write_text(json.dumps(manifest))
+    paths = (out / "family.json", out / "operators.json")
+    manifests = [json.loads(path.read_text()) for path in paths]
+    expected = edit(*manifests)
+    for path, manifest in zip(paths, manifests):
+        path.write_text(json.dumps(manifest))
     code, data = run_json(capsys, "verify", "--in", str(out))
     assert code == EXIT_IO
     assert data["error"] == "io"
+    assert expected in data["message"]
 
 
 def test_verify_operators_without_family_is_io_error(tmp_path, capsys):
@@ -224,11 +244,35 @@ def test_tensors_single_component(tmp_path, capsys):
     assert data["files"] == ["tensor_k2_qm2.json", "tensors.json"]
 
 
+def test_tensors_component_without_rank_exports_every_rank_that_has_it(tmp_path, capsys):
+    out = tmp_path / "tens"
+    code, data = run_json(capsys, "tensors", "--two-j", "2", "--q", "1",
+                          "--out", str(out))
+    assert code == EXIT_PASS
+    assert data["files"] == ["tensor_k1_q1.json", "tensor_k2_q1.json", "tensors.json"]
+    manifest = json.loads((out / "tensors.json").read_text())
+    assert [(e["k"], e["q"]) for e in manifest["entries"]] == [(1, 1), (2, 1)]
+    code, data = run_json(capsys, "tensors", "--two-j", "2", "--q", "-2",
+                          "--out", str(tmp_path / "neg"))
+    assert code == EXIT_PASS
+    assert data["files"] == ["tensor_k2_qm2.json", "tensors.json"]
+
+
 def test_tensors_invalid_rank(tmp_path, capsys):
     out = tmp_path / "tens"
     code, data = run_json(capsys, "tensors", "--two-j", "2", "--k", "9",
                           "--out", str(out))
     assert code == EXIT_UNSUPPORTED
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [("--k", "-1"), ("--q", "3"), ("--k", "1", "--q", "2")])
+def test_tensors_invalid_component_leaves_no_directory(tmp_path, capsys, flags):
+    out = tmp_path / "tens"
+    code, data = run_json(capsys, "tensors", "--two-j", "2", *flags, "--out", str(out))
+    assert code == EXIT_UNSUPPORTED
+    assert data["error"] == "invalid"
+    assert not out.exists()
 
 
 def test_tomo_exact_reconstruction(capsys):

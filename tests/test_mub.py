@@ -13,6 +13,7 @@ from mubkit.mub import (
     canonical_basis,
     check_family,
     check_unbiased,
+    family_for,
     fourier_basis,
     odd_prime_family,
     one_axis_twist,
@@ -190,3 +191,20 @@ def test_unitary_between_maps_bases():
     assert max_abs(u.matrix.conj().T @ u.matrix - np.eye(5)) < 1e-12
     assert max_abs(u.matrix @ a.matrix - b.matrix) < 1e-12
     assert u.source_label == a.label and u.target_label == b.label
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 11, 13])
+def test_family_for_picks_builtin_tables_then_odd_primes(d):
+    source = builtin_family if d in BUILTIN_DIMS else odd_prime_family
+    got, want = family_for(d), source(d)
+    assert got.labels == want.labels
+    assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(got.bases, want.bases))
+
+
+@pytest.mark.parametrize("d", [1, 6, 8, 9, 15])
+def test_family_for_refuses_other_dimensions(d):
+    with pytest.raises(UnsupportedDimensionError) as info:
+        family_for(d)
+    assert info.value.dim == d
+    if d == 6:
+        assert "no complete MUB family known for dimension 6" in str(info.value)

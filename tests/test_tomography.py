@@ -7,7 +7,7 @@ import pytest
 
 from mubkit.classes import build_set
 from mubkit.matcore import max_abs
-from mubkit.mub import builtin_family, odd_prime_family
+from mubkit.mub import builtin_family, family_for
 from mubkit.tomography import (
     MeasurementRecord,
     coefficients,
@@ -27,10 +27,6 @@ from mubkit.tomography import (
 )
 
 ALL_DIMS = (2, 3, 4, 5, 7)
-
-
-def family_for(d):
-    return builtin_family(d) if d <= 5 else odd_prime_family(d)
 
 
 @pytest.mark.parametrize("d", ALL_DIMS)
@@ -70,6 +66,43 @@ def test_probability_route_matches_trace_route(d):
         direct = coefficients(rho, opset)
         viaprobs = coefficients_from_probabilities(record, opset.coefficients)
         assert max_abs(direct - viaprobs) < 1e-12
+
+
+def loop_coefficients(rho, s):
+    return np.array([np.trace(rho @ op) for op in s.operators])
+
+
+def loop_reconstruct(a, s):
+    rho = np.eye(s.dim, dtype=np.complex128)
+    for ai, op in zip(a, s.operators):
+        rho = rho + ai * op
+    return rho / s.dim
+
+
+def loop_probabilities(rho, family):
+    rows = [np.clip(np.einsum("id,ij,jd->d", b.matrix.conj(), rho, b.matrix).real, 0.0, 1.0)
+            for b in family.bases]
+    return MeasurementRecord(family.dim, family.labels, np.array(rows), None)
+
+
+@pytest.mark.parametrize("d", ALL_DIMS + (11,))
+def test_stacked_tomography_matches_loop_definitions(d):
+    """coefficients, reconstruct and probabilities read the stacked operator
+    array; each must agree with its one-operator-at-a-time definition."""
+    family = family_for(d)
+    opset = build_set(family)
+    for seed in range(5):
+        rho = random_density(d, seed)
+        want = loop_coefficients(rho, opset)
+        a = coefficients(rho, opset)
+        assert max_abs(a - want.real) < 1e-13
+        assert max_abs(reconstruct(a, opset) - loop_reconstruct(a, opset)) < 1e-13
+        exact = probabilities(rho, family)
+        reference = loop_probabilities(rho, family)
+        assert max_abs(exact.probs - reference.probs) < 1e-13
+        for shot_seed in range(3):
+            assert np.array_equal(sample_shots(exact, 1000, shot_seed).probs,
+                                  sample_shots(reference, 1000, shot_seed).probs)
 
 
 def test_probabilities_of_basis_state_are_deterministic_and_flat():

@@ -25,13 +25,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .classes import OperatorSet, build_set, coefficient_vectors, verify_set
+from .classes import CommutingClass, OperatorSet, build_set, coefficient_vectors, verify_set
 from .matcore import (
     DEFAULT_TOL,
-    matrix_from_json,
-    matrix_to_json,
+    json_int,
+    read_json,
+    read_matrix,
     root_of_unity,
     validate_tolerance,
+    write_json,
+    write_matrix,
 )
 from .mub import (
     BUILTIN_DIMS,
@@ -45,6 +48,7 @@ from .mub import (
 )
 from .tensors import spherical_tensor
 from .tomography import (
+    derive_seed,
     probabilities,
     random_density,
     reconstruct_from_record,
@@ -55,8 +59,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_UNSUPPORTED = 2
 EXIT_IO = 3
-
-_MASK64 = (1 << 64) - 1
 
 _FAMILY_FILE = "family.json"
 _OPERATORS_FILE = "operators.json"
@@ -95,12 +97,6 @@ def _resolve_tol(args: argparse.Namespace) -> float:
     return DEFAULT_TOL
 
 
-def _derive_seed(seed: int, *key: int) -> int:
-    """Stable per-trial seed derived from the user seed and a key path."""
-    seq = np.random.SeedSequence([seed & _MASK64, *key])
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
 # ---------------------------------------------------------------------------
 # JSON export / import of families and operator sets
 
@@ -114,43 +110,31 @@ def _write_family(out: Path, family: MubFamily) -> list[str]:
     files = []
     for basis in family.bases:
         name = _basis_filename(basis.label)
-        with open(out / name, "w", encoding="utf-8") as fh:
-            json.dump(matrix_to_json(basis.matrix), fh, indent=2)
+        write_matrix(out / name, basis.matrix)
         files.append(name)
     manifest = {
         "dim": family.dim,
         "bases": list(family.labels),
         "convention": "m-descending",
     }
-    with open(out / _FAMILY_FILE, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
+    write_json(out / _FAMILY_FILE, manifest)
     return files + [_FAMILY_FILE]
 
 
-def _load_json(path: Path) -> dict:
+def _load(read, path: Path):
+    """read(path) for read_json or read_matrix; any fault of the file is a _LoadError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        return read(path)
     except OSError as exc:
         raise _LoadError(f"cannot read {path.name}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise _LoadError(f"malformed JSON in {path.name}: {exc}")
-    if not isinstance(data, dict):
-        raise _LoadError(f"{path.name} does not hold a JSON object")
-    return data
-
-
-def _load_matrix(path: Path) -> np.ndarray:
-    try:
-        return matrix_from_json(_load_json(path))
     except ValueError as exc:
-        raise _LoadError(f"{path.name}: {exc}")
+        raise _LoadError(str(exc))
 
 
 def _read_family(src: Path) -> MubFamily:
-    manifest = _load_json(src / _FAMILY_FILE)
+    manifest = _load(read_json, src / _FAMILY_FILE)
     try:
-        dim = int(manifest["dim"])
+        dim = json_int(manifest["dim"], "dim")
         labels = [str(label) for label in manifest["bases"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise _LoadError(f"malformed family manifest: {exc!r}")
@@ -158,7 +142,7 @@ def _read_family(src: Path) -> MubFamily:
     for i, label in enumerate(labels):
         if label in labels[:i]:
             raise _LoadError(f"family manifest repeats basis label {label}")
-        matrix = _load_matrix(src / _basis_filename(label))
+        matrix = _load(read_matrix, src / _basis_filename(label))
         if matrix.shape != (dim, dim):
             raise _LoadError(
                 f"basis {label} has shape {matrix.shape}, expected ({dim}, {dim})")
@@ -181,23 +165,19 @@ def _write_operator_set(out: Path, opset: OperatorSet) -> list[str]:
         names = []
         for k, op in enumerate(cls.operators, start=1):
             name = _operator_filename(cls.basis_label, k)
-            with open(out / name, "w", encoding="utf-8") as fh:
-                json.dump(matrix_to_json(op), fh, indent=2)
+            write_matrix(out / name, op)
             names.append(name)
         files.extend(names)
         classes.append({"basis_label": cls.basis_label, "operators": names})
     manifest = {"dim": opset.dim, "classes": classes}
-    with open(out / _OPERATORS_FILE, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
+    write_json(out / _OPERATORS_FILE, manifest)
     return files + [_OPERATORS_FILE]
 
 
 def _read_operator_set(src: Path, family: MubFamily) -> OperatorSet:
-    from .classes import CommutingClass
-
-    manifest = _load_json(src / _OPERATORS_FILE)
+    manifest = _load(read_json, src / _OPERATORS_FILE)
     try:
-        dim = int(manifest["dim"])
+        dim = json_int(manifest["dim"], "dim")
         entries = list(manifest["classes"])
     except (KeyError, TypeError, ValueError) as exc:
         raise _LoadError(f"malformed operator manifest: {exc!r}")
@@ -219,7 +199,7 @@ def _read_operator_set(src: Path, family: MubFamily) -> OperatorSet:
             raise _LoadError(f"operator manifest repeats class label {label}")
         ops = []
         for name in names:
-            matrix = _load_matrix(src / name)
+            matrix = _load(read_matrix, src / name)
             if matrix.shape != (dim, dim):
                 raise _LoadError(
                     f"{name} has shape {matrix.shape}, expected ({dim}, {dim})")
@@ -360,8 +340,7 @@ def cmd_operators(args: argparse.Namespace) -> int:
         out = Path(args.out)
         files = _write_operator_set(out, opset)
         files += _write_family(out, family)
-        with open(out / _REPORT_FILE, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dicts(), fh, indent=2)
+        write_json(out / _REPORT_FILE, report.to_dicts())
         files.append(_REPORT_FILE)
         payload["out"] = str(args.out)
         payload["files"] = files
@@ -414,12 +393,9 @@ def cmd_tensors(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for (k, q), matrix in matrices.items():
         name = _tensor_filename(k, q)
-        with open(out / name, "w", encoding="utf-8") as fh:
-            json.dump(matrix_to_json(matrix), fh, indent=2)
+        write_matrix(out / name, matrix)
         entries.append({"k": k, "q": q, "file": name})
-    manifest = {"two_j": args.two_j, "entries": entries}
-    with open(out / "tensors.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
+    write_json(out / "tensors.json", {"two_j": args.two_j, "entries": entries})
     _emit({
         "command": "tensors",
         "two_j": args.two_j,
@@ -445,10 +421,10 @@ def cmd_tomo(args: argparse.Namespace) -> int:
     opset = build_set(family)
     results = []
     for trial in range(args.trials):
-        rho = random_density(args.dim, _derive_seed(args.seed, trial, 0))
+        rho = random_density(args.dim, derive_seed(args.seed, trial, 0))
         record = probabilities(rho, family)
         if shots is not None:
-            record = sample_shots(record, shots, _derive_seed(args.seed, trial, 1))
+            record = sample_shots(record, shots, derive_seed(args.seed, trial, 1))
         report = reconstruct_from_record(
             record, opset, project=args.project, reference=rho)
         entry = report.to_dict()

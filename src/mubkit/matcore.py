@@ -6,9 +6,10 @@ one numerical rule enforced globally: roots of unity are always computed
 from cos/sin of the reduced angle, never by repeated multiplication, so
 w**p is exact to 1 ulp for any power.
 
-The module also carries the on-disk matrix format (see matrix_to_json) and
-the small CheckResult/VerificationReport containers used by every
-verification routine in the package.
+The module also carries the package's one JSON file layout (write_json,
+read_json), the on-disk matrix format (see matrix_to_json) and the small
+CheckResult/VerificationReport containers used by every verification
+routine in the package.
 """
 
 from __future__ import annotations
@@ -26,22 +27,16 @@ __all__ = [
     "DEFAULT_TOL",
     "CheckResult",
     "VerificationReport",
-    "adjoint",
     "as_matrix",
-    "commutator",
-    "frobenius_distance",
-    "hs_inner",
-    "identity",
-    "is_hermitian",
-    "is_unitary",
+    "json_int",
     "matrix_from_json",
     "matrix_to_json",
     "max_abs",
-    "multiply",
+    "read_json",
     "read_matrix",
     "root_of_unity",
-    "trace",
     "validate_tolerance",
+    "write_json",
     "write_matrix",
 ]
 
@@ -72,75 +67,10 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
-def identity(d: int) -> np.ndarray:
-    return np.eye(d, dtype=np.complex128)
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T.copy()
-
-
-def multiply(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product Tr(a^dag b), antilinear in a."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError(f"hs_inner needs equal square shapes, got {a.shape} and {b.shape}")
-    # vdot conjugate-flattens its first argument: sum conj(a_ij) b_ij = Tr(a^dag b)
-    return complex(np.vdot(a, b))
-
-
-def commutator(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError(f"commutator needs equal square shapes, got {a.shape} and {b.shape}")
-    return a @ b - b @ a
-
-
-def trace(m) -> complex:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"trace needs a square matrix, got {m.shape}")
-    return complex(np.trace(m))
-
-
 def max_abs(m) -> float:
     """Largest entry magnitude; 0.0 for an empty array."""
     arr = np.asarray(m)
     return float(np.abs(arr).max()) if arr.size else 0.0
-
-
-def frobenius_distance(a, b) -> float:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
-def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return max_abs(m - m.conj().T) <= validate_tolerance(tol)
-
-
-def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    gram = m.conj().T @ m
-    return max_abs(gram - np.eye(m.shape[0])) <= validate_tolerance(tol)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +112,38 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
+# JSON files
+#
+# Every file the package writes has one layout: json.dumps(obj, indent=2),
+# UTF-8, no trailing newline. A reader's ValueError names the file; OSError
+# (missing or unreadable file) passes through untouched.
+
+def write_json(path, obj) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2), encoding="utf-8")
+
+
+def read_json(path) -> dict:
+    """The JSON object stored at path."""
+    path = Path(path)
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON in {path.name}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path.name}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path.name} does not hold a JSON object")
+    return obj
+
+
+def json_int(value, field: str) -> int:
+    """value if it is a JSON integer; floats, bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # JSON matrix format
 #
 # {"rows": r, "cols": c, "data": [[{"re": x, "im": y}, ...], ...]}
@@ -201,10 +163,10 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows = json_int(obj["rows"], "rows")
+        cols = json_int(obj["cols"], "cols")
         data = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if rows < 1 or cols < 1 or not isinstance(data, list) or len(data) != rows:
         raise ValueError("matrix JSON shape fields do not match data")
@@ -221,12 +183,12 @@ def matrix_from_json(obj) -> np.ndarray:
 
 
 def write_matrix(path, m) -> None:
-    Path(path).write_text(json.dumps(matrix_to_json(m), indent=1) + "\n")
+    write_json(path, matrix_to_json(m))
 
 
 def read_matrix(path) -> np.ndarray:
+    obj = read_json(path)
     try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    return matrix_from_json(obj)
+        return matrix_from_json(obj)
+    except ValueError as exc:
+        raise ValueError(f"{Path(path).name}: {exc}") from exc

@@ -16,14 +16,12 @@ so records are reproducible regardless of evaluation order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .classes import CoefficientVectors, OperatorSet
-from .matcore import DEFAULT_TOL, as_matrix, validate_tolerance
+from .matcore import as_matrix, json_int, read_json, write_json
 from .mub import MubFamily
 
 __all__ = [
@@ -31,6 +29,7 @@ __all__ = [
     "ReconstructionReport",
     "coefficients",
     "coefficients_from_probabilities",
+    "derive_seed",
     "fidelity",
     "probabilities",
     "project_psd",
@@ -146,10 +145,19 @@ def coefficients_from_probabilities(record: MeasurementRecord,
 # ---------------------------------------------------------------------------
 # sampling and metrics
 
+def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
+    # the package's one seed derivation: any integer seed, reduced mod 2**64
+    return np.random.SeedSequence([int(seed) & _MASK64, *key])
+
+
+def derive_seed(seed: int, *key: int) -> int:
+    """Stable 64-bit seed derived from a user seed and a key path."""
+    return int(_seed_sequence(seed, *key).generate_state(1, np.uint64)[0])
+
+
 def _stream(seed: int, index: int) -> np.random.Generator:
     # one independent, platform-stable stream per (seed, basis index)
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([int(seed) & _MASK64, int(index)])))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, int(index))))
 
 
 def sample_shots(record: MeasurementRecord, n: int, seed: int) -> MeasurementRecord:
@@ -194,24 +202,31 @@ def _purity(rho: np.ndarray) -> float:
     return float(np.trace(rho @ rho).real)
 
 
+def _reference_state(reference, d: int) -> np.ndarray:
+    """A reference as a finite d x d density matrix; a state vector becomes
+    its normalized projector."""
+    ref = np.asarray(reference, dtype=np.complex128)
+    if ref.shape not in ((d,), (d, d)):
+        raise ValueError(f"reference of shape {ref.shape} does not fit dimension {d}")
+    if not np.isfinite(ref).all():
+        raise ValueError("reference entries must be finite (no NaN/Inf)")
+    if ref.ndim == 1:
+        norm = np.vdot(ref, ref).real
+        if norm <= 0.0:
+            raise ValueError("reference vector has zero norm")
+        ref = np.outer(ref, ref.conj()) / norm
+    return ref
+
+
 def fidelity(rho, reference) -> float:
     """F = <psi|rho|psi> against a pure reference (state vector or rank-1
     density matrix). Mixed references are refused; compare those by trace
     distance instead.
     """
     rho = as_matrix(rho)
-    ref = np.asarray(reference, dtype=np.complex128)
-    if ref.ndim == 1:
-        if ref.shape[0] != rho.shape[0]:
-            raise ValueError(f"dimension mismatch: {rho.shape} vs vector {ref.shape}")
-        ref = np.outer(ref, ref.conj())
-        ref = ref / np.trace(ref).real
-    else:
-        ref = as_matrix(ref)
-        if ref.shape != rho.shape:
-            raise ValueError(f"shape mismatch: {rho.shape} vs {ref.shape}")
-        if abs(_purity(ref) - 1.0) > 1e-8:
-            raise ValueError("reference is not pure; use trace_distance for mixed states")
+    ref = _reference_state(reference, rho.shape[0])
+    if abs(_purity(ref) - 1.0) > 1e-8:
+        raise ValueError("reference is not pure; use trace_distance for mixed states")
     return float(np.trace(rho @ ref).real)
 
 
@@ -248,14 +263,7 @@ def reconstruct_from_record(record: MeasurementRecord, s: OperatorSet,
         estimate = project_psd(estimate)
     td = fid = None
     if reference is not None:
-        reference = np.asarray(reference, dtype=np.complex128)
-        if reference.ndim == 1:
-            # state vector: promote to its normalized projector
-            norm = np.vdot(reference, reference).real
-            if norm <= 0.0:
-                raise ValueError("reference vector has zero norm")
-            reference = np.outer(reference, reference.conj()) / norm
-        reference = as_matrix(reference)
+        reference = _reference_state(reference, s.dim)
         td = trace_distance(estimate, reference)
         if abs(_purity(reference) - 1.0) <= 1e-8:
             fid = fidelity(estimate, reference)
@@ -276,23 +284,19 @@ def record_to_json(record: MeasurementRecord) -> dict:
 
 def record_from_json(obj) -> MeasurementRecord:
     try:
-        dim = int(obj["dim"])
-        shots = obj["shots"]
+        dim = json_int(obj["dim"], "dim")
+        shots = None if obj["shots"] is None else json_int(obj["shots"], "shots")
         bases = obj["bases"]
         labels = tuple(str(b["label"]) for b in bases)
         probs = np.array([[float(x) for x in b["p"]] for b in bases])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed measurement record: {exc}") from exc
-    return MeasurementRecord(dim, labels, probs, None if shots is None else int(shots))
+    return MeasurementRecord(dim, labels, probs, shots)
 
 
 def write_record(path, record: MeasurementRecord) -> None:
-    Path(path).write_text(json.dumps(record_to_json(record), indent=1) + "\n")
+    write_json(path, record_to_json(record))
 
 
 def read_record(path) -> MeasurementRecord:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    return record_from_json(obj)
+    return record_from_json(read_json(path))

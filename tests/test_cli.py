@@ -5,8 +5,17 @@ import json
 import numpy as np
 import pytest
 
+from mubkit.classes import build_set
 from mubkit.cli import EXIT_FAIL, EXIT_IO, EXIT_PASS, EXIT_UNSUPPORTED, main
-from mubkit.matcore import matrix_from_json
+from mubkit.matcore import matrix_from_json, write_matrix
+from mubkit.mub import family_for
+from mubkit.tomography import (
+    derive_seed,
+    probabilities,
+    random_density,
+    reconstruct_from_record,
+    sample_shots,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -113,12 +122,17 @@ def test_verify_missing_directory_contents(tmp_path, capsys):
 
 
 def test_verify_malformed_json(tmp_path, capsys):
-    out = tmp_path / "fam"
-    run_json(capsys, "mub", "--dim", "2", "--out", str(out))
-    (out / "basis_B2.json").write_text("{broken", encoding="utf-8")
-    code, data = run_json(capsys, "verify", "--in", str(out))
-    assert code == EXIT_IO
-    assert "basis_B2.json" in data["message"]
+    # every export file, manifests included, is read one way: broken JSON and
+    # undecodable bytes are both an io error that names the file
+    for name in ("basis_B2.json", "family.json", "operators.json"):
+        for content in (b"{broken", b"\xff\xfe{}"):
+            out = tmp_path / f"ops-{name}-{len(content)}"
+            run_json(capsys, "operators", "--dim", "2", "--out", str(out))
+            (out / name).write_bytes(content)
+            code, data = run_json(capsys, "verify", "--in", str(out))
+            assert code == EXIT_IO, (name, content)
+            assert data["error"] == "io"
+            assert name in data["message"]
 
 
 def test_operators_export_and_verify(tmp_path, capsys):
@@ -136,6 +150,13 @@ def test_operators_export_and_verify(tmp_path, capsys):
         for name in entry["operators"]:
             assert (out / name).exists()
     assert (out / "verification_report.json").exists()
+    # the export and write_matrix share one writer: the files match byte for byte
+    opset = build_set(family_for(3))
+    for cls in opset.classes:
+        for k, op in enumerate(cls.operators, start=1):
+            name = f"op_{cls.basis_label}_k{k}.json"
+            write_matrix(tmp_path / name, op)
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
     code, report = run_json(capsys, "verify", "--in", str(out))
     assert code == EXIT_PASS
     names = [c["check"] for c in report["checks"]]
@@ -185,8 +206,19 @@ def _repeat_class_label(family, operators):
     return "repeats class label B1"
 
 
+def _fractional_family_dim(family, operators):
+    family["dim"] = 3.7  # truncated to 3, this export would verify as passing
+    return "dim must be an integer, got 3.7"
+
+
+def _float_operator_dim(family, operators):
+    operators["dim"] = 3.0
+    return "dim must be an integer, got 3.0"
+
+
 @pytest.mark.parametrize("edit", [_drop_one_name, _drop_one_class, _reverse_classes,
-                                  _repeat_basis_label, _repeat_class_label])
+                                  _repeat_basis_label, _repeat_class_label,
+                                  _fractional_family_dim, _float_operator_dim])
 def test_verify_rejects_truncated_or_reordered_operator_export(tmp_path, capsys, edit):
     # a subset of an orthonormal set is still orthonormal, so without a
     # structural check a truncated export would verify as passing; a repeated
@@ -294,6 +326,14 @@ def test_tomo_sampled_run_is_deterministic(capsys):
     assert data["shots"] == 5000
     assert len(data["results"]) == 4
     assert all(r["trace_distance"] > 0 for r in data["results"])
+    # trial t takes its state from derive_seed(seed, t, 0), its shots from (t, 1)
+    family = family_for(3)
+    opset = build_set(family)
+    for t, result in enumerate(data["results"]):
+        rho = random_density(3, derive_seed(9, t, 0))
+        record = sample_shots(probabilities(rho, family), 5000, derive_seed(9, t, 1))
+        want = reconstruct_from_record(record, opset, reference=rho)
+        assert result["trace_distance"] == want.trace_distance
 
 
 def test_tomo_zero_trials(capsys):

@@ -9,22 +9,15 @@ from mubkit.matcore import (
     DEFAULT_TOL,
     CheckResult,
     VerificationReport,
-    adjoint,
     as_matrix,
-    commutator,
-    frobenius_distance,
-    hs_inner,
-    identity,
-    is_hermitian,
-    is_unitary,
+    json_int,
     matrix_from_json,
     matrix_to_json,
-    max_abs,
-    multiply,
+    read_json,
     read_matrix,
     root_of_unity,
-    trace,
     validate_tolerance,
+    write_json,
     write_matrix,
 )
 
@@ -54,47 +47,6 @@ def test_as_matrix_rejects_bad_input():
         as_matrix([[np.nan, 0.0], [0.0, 1.0]])
     out = as_matrix([[1, 2], [3, 4]])
     assert out.dtype == np.complex128
-
-
-def test_hs_inner_and_trace():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    want = np.trace(a.conj().T @ b)
-    assert hs_inner(a, b) == pytest.approx(want)
-    assert trace(a) == pytest.approx(np.trace(a))
-    # conjugate symmetry
-    assert hs_inner(a, b) == pytest.approx(np.conj(hs_inner(b, a)))
-
-
-def test_multiply_and_adjoint_shape_checks():
-    a = identity(3)
-    with pytest.raises(ValueError):
-        multiply(a, identity(2))
-    assert np.array_equal(adjoint(1j * a), -1j * a)
-
-
-def test_commutator_antisymmetric():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert max_abs(commutator(a, b) + commutator(b, a)) < 1e-12
-    assert max_abs(commutator(a, a)) < 1e-12
-
-
-def test_hermitian_and_unitary_predicates():
-    h = np.array([[1.0, 1j], [-1j, 2.0]])
-    assert is_hermitian(h)
-    assert not is_hermitian(h + np.array([[0, 1e-6], [0, 0]]))
-    u = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    assert is_unitary(u)
-    assert not is_unitary(1.001 * u)
-
-
-def test_frobenius_distance():
-    a = identity(2)
-    assert frobenius_distance(a, a) == 0.0
-    assert frobenius_distance(a, -a) == pytest.approx(np.sqrt(8))
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-3, 1.0, 2.0, np.nan])
@@ -147,6 +99,10 @@ def test_matrix_json_round_trip():
     lambda d: d["data"][0].__setitem__(0, {"re": 1.0}),
     lambda d: d["data"][0].__setitem__(0, {"re": "x", "im": 0.0}),
     lambda d: d.__setitem__("rows", 7),
+    # shape fields must be JSON integers, not numbers that truncate to one
+    lambda d: d.__setitem__("rows", 2.0),
+    lambda d: d.__setitem__("cols", 2.5),
+    lambda d: d.__setitem__("cols", "2"),
 ])
 def test_matrix_from_json_rejects_malformed(mutate):
     data = matrix_to_json(np.eye(2))
@@ -155,15 +111,49 @@ def test_matrix_from_json_rejects_malformed(mutate):
         matrix_from_json(data)
 
 
+def test_json_int_accepts_only_integers():
+    assert json_int(3, "dim") == 3
+    assert json_int(-2, "dim") == -2
+    for bad in (True, False, 3.0, 3.9, "3", None, [3], {}):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            json_int(bad, "dim")
+    one = matrix_to_json(np.eye(1))
+    one["rows"] = True  # bool is an int subclass; True would read as 1
+    with pytest.raises(ValueError):
+        matrix_from_json(one)
+
+
 def test_matrix_file_round_trip(tmp_path):
     m = np.array([[1 + 2j, 0], [0.5, -1j]])
     path = tmp_path / "m.json"
     write_matrix(path, m)
     assert np.array_equal(read_matrix(path), m)
+    # the one file layout: indent=2, UTF-8, no trailing newline
+    assert path.read_text(encoding="utf-8") == json.dumps(matrix_to_json(m), indent=2)
 
 
 def test_read_matrix_bad_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{broken", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="malformed JSON in bad.json"):
         read_matrix(path)
+    path.write_text('{"rows": 1}', encoding="utf-8")
+    with pytest.raises(ValueError, match="^bad.json: malformed matrix JSON"):
+        read_matrix(path)
+
+
+def test_json_file_round_trip_and_errors(tmp_path):
+    path = tmp_path / "obj.json"
+    obj = {"dim": 3, "bases": ["B1", "B2"], "note": "\u00e9"}
+    write_json(path, obj)
+    assert path.read_bytes() == json.dumps(obj, indent=2).encode("utf-8")
+    assert read_json(path) == obj
+    # every fault of the file's content is a ValueError that names the file
+    for content, fault in ((b"{broken", "malformed JSON"), (b"\xff\xfe", "utf-8"),
+                           (b"[1, 2]", "does not hold a JSON object")):
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=fault) as err:
+            read_json(path)
+        assert "obj.json" in str(err.value)
+    with pytest.raises(FileNotFoundError):
+        read_json(tmp_path / "missing.json")

@@ -12,6 +12,7 @@ from mubkit.tomography import (
     MeasurementRecord,
     coefficients,
     coefficients_from_probabilities,
+    derive_seed,
     fidelity,
     probabilities,
     project_psd,
@@ -171,6 +172,13 @@ def test_fidelity_rejects_mixed_reference():
     rho = random_density(3, 2)
     with pytest.raises(ValueError, match="not pure"):
         fidelity(rho, np.eye(3, dtype=complex) / 3)
+    # a zero or NaN state vector has no projector; both raise instead of giving NaN
+    with pytest.raises(ValueError, match="zero norm"):
+        fidelity(rho, np.zeros(3))
+    with pytest.raises(ValueError, match="finite"):
+        fidelity(rho, np.array([np.nan, 1.0, 0.0]))
+    with pytest.raises(ValueError, match="does not fit dimension 3"):
+        fidelity(rho, np.ones(2))
 
 
 def test_project_psd_restores_state():
@@ -232,6 +240,10 @@ def test_reconstruction_report_fidelity_for_pure_reference():
     record = probabilities(rho, family)
     report = reconstruct_from_record(record, opset, reference=psi)
     assert report.fidelity == pytest.approx(1.0, abs=1e-10)
+    with pytest.raises(ValueError, match="zero norm"):
+        reconstruct_from_record(record, opset, reference=np.zeros(2))
+    with pytest.raises(ValueError, match="finite"):
+        reconstruct_from_record(record, opset, reference=np.array([np.nan, 1.0]))
 
 
 def test_measurement_record_validation():
@@ -266,9 +278,11 @@ def test_record_json_round_trip(tmp_path):
     assert record_to_json(exact)["shots"] is None
     path = tmp_path / "record.json"
     write_record(path, record)
+    # the package's one file layout: indent=2, UTF-8, no trailing newline
+    assert path.read_text(encoding="utf-8") == json.dumps(data, indent=2)
     again = read_record(path)
     assert np.array_equal(again.probs, record.probs)
-    assert again.shots == 1000
+    assert (again.dim, again.labels, again.shots) == (3, record.labels, 1000)
 
 
 def test_record_from_json_rejects_malformed():
@@ -279,9 +293,32 @@ def test_record_from_json_rejects_malformed():
         bad["bases"][0]["p"][0] = value
         with pytest.raises(ValueError, match="finite"):
             record_from_json(bad)
+    # integer fields take JSON integers only: no truncation, no bools, no TypeError
+    for field, value in (("shots", 2.5), ("shots", True), ("shots", [1]), ("shots", {}),
+                         ("shots", "5"), ("dim", 2.0), ("dim", 3.9)):
+        bad = json.loads(json.dumps(data))
+        bad[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            record_from_json(bad)
     del data["bases"][0]["p"]
     with pytest.raises(ValueError):
         record_from_json(data)
+
+
+def test_derive_seed_is_the_one_seed_path():
+    mask = (1 << 64) - 1
+    for seed in (0, -3, 2**64 + 5):
+        for key in ((), (0,), (1,), (0, 0), (0, 1), (7, 1), (3, 2, 1)):
+            # the formula the CLI used for its per-trial seeds
+            want = np.random.SeedSequence([seed & mask, *key]).generate_state(1, np.uint64)[0]
+            assert derive_seed(seed, *key) == int(want)
+        # the basis streams of random_density and sample_shots share the derivation
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed & mask, 0])))
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        rho = g @ g.conj().T
+        assert np.array_equal(random_density(3, seed), rho / np.trace(rho).real)
+    assert derive_seed(-3, 1) == derive_seed(2**64 - 3, 1)
+    assert derive_seed(5, 0, 0) != derive_seed(5, 0, 1)
 
 
 @pytest.mark.parametrize("relabel", [

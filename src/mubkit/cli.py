@@ -131,17 +131,22 @@ def _load(read, path: Path):
         raise _LoadError(str(exc))
 
 
+def _json_list(value, field: str) -> list:
+    """value if it is a JSON array; a string or object would iterate as something else."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def _read_family(src: Path) -> MubFamily:
     manifest = _load(read_json, src / _FAMILY_FILE)
     try:
         dim = json_int(manifest["dim"], "dim")
-        labels = [str(label) for label in manifest["bases"]]
+        labels = [str(label) for label in _json_list(manifest["bases"], "bases")]
     except (KeyError, TypeError, ValueError) as exc:
         raise _LoadError(f"malformed family manifest: {exc!r}")
     bases = []
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            raise _LoadError(f"family manifest repeats basis label {label}")
+    for label in labels:
         matrix = _load(read_matrix, src / _basis_filename(label))
         if matrix.shape != (dim, dim):
             raise _LoadError(
@@ -178,7 +183,7 @@ def _read_operator_set(src: Path, family: MubFamily) -> OperatorSet:
     manifest = _load(read_json, src / _OPERATORS_FILE)
     try:
         dim = json_int(manifest["dim"], "dim")
-        entries = list(manifest["classes"])
+        entries = _json_list(manifest["classes"], "classes")
     except (KeyError, TypeError, ValueError) as exc:
         raise _LoadError(f"malformed operator manifest: {exc!r}")
     if dim != family.dim:
@@ -190,8 +195,8 @@ def _read_operator_set(src: Path, family: MubFamily) -> OperatorSet:
     for entry in entries:
         try:
             label = str(entry["basis_label"])
-            names = [str(n) for n in entry["operators"]]
-        except (KeyError, TypeError) as exc:
+            names = [str(n) for n in _json_list(entry["operators"], "operators")]
+        except (KeyError, TypeError, ValueError) as exc:
             raise _LoadError(f"malformed operator manifest entry: {exc!r}")
         if label not in by_label:
             raise _LoadError(f"operator class references unknown basis {label}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -137,10 +138,10 @@ def read_json(path) -> dict:
 
 
 def json_int(value, field: str) -> int:
-    """value if it is a JSON integer; floats, bools and strings are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """int(value) for a Python or numpy integer; floats, bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{field} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 # ---------------------------------------------------------------------------

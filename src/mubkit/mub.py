@@ -122,9 +122,11 @@ class MubFamily:
         if len(self.bases) != self.dim + 1:
             raise ValueError(f"a complete family in dimension {self.dim} needs "
                              f"{self.dim + 1} bases, got {len(self.bases)}")
-        for b in self.bases:
+        for i, b in enumerate(self.bases):
             if b.dim != self.dim:
                 raise ValueError(f"basis {b.label!r} has dimension {b.dim}, expected {self.dim}")
+            if b.label in self.labels[:i]:
+                raise ValueError(f"family repeats basis label {b.label}")
         object.__setattr__(self, "bases", tuple(self.bases))
 
     @property
@@ -164,20 +166,19 @@ def fourier_basis(d: int, label: str = "B2") -> Basis:
     """Discrete Fourier basis: column j has components w^(jk)/sqrt(d)."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    m = np.empty((d, d), dtype=np.complex128)
-    for k in range(d):
-        for j in range(d):
-            m[k, j] = root_of_unity(d, j * k)
-    return Basis(d, m / np.sqrt(d), label)
+    return _quadratic_basis(d, 0, label)
+
+
+def _phase_matrix(d: int, exponents) -> np.ndarray:
+    """w^(exponents mod d)/sqrt(n) for an n x n integer exponent grid, w = exp(2 pi i/d)."""
+    powers = np.array([root_of_unity(d, p) for p in range(d)])
+    return powers[np.asarray(exponents) % d] / np.sqrt(len(exponents))
 
 
 def _quadratic_basis(d: int, b: int, label: str) -> Basis:
     # component k of vector j: w^(b k^2 + j k)/sqrt(d); b = 0 is the Fourier basis
-    m = np.empty((d, d), dtype=np.complex128)
-    for k in range(d):
-        for j in range(d):
-            m[k, j] = root_of_unity(d, b * k * k + j * k)
-    return Basis(d, m / np.sqrt(d), label)
+    k = np.arange(d)[:, np.newaxis]
+    return Basis(d, _phase_matrix(d, b * k * k + np.arange(d) * k), label)
 
 
 def one_axis_twist(d: int, t: float) -> BasisTransform:
@@ -217,11 +218,7 @@ def _builtin_3() -> tuple[np.ndarray, ...]:
         ((0, 0, 0), (1, 0, 2), (0, 1, 2)),
         ((0, 0, 0), (2, 1, 0), (0, 1, 2)),
     )
-    out = [np.eye(3, dtype=np.complex128)]
-    for g in grids:
-        m = np.array([[root_of_unity(3, p) for p in row] for row in g])
-        out.append(m / np.sqrt(3.0))
-    return tuple(out)
+    return (np.eye(3, dtype=np.complex128),) + tuple(_phase_matrix(3, g) for g in grids)
 
 
 def _builtin_4() -> tuple[np.ndarray, ...]:
@@ -237,24 +234,18 @@ def _builtin_4() -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def _builtin_5() -> tuple[np.ndarray, ...]:
-    # the published dim-5 tables coincide exactly with the quadratic-phase
-    # construction, so they are generated rather than typed out; some
-    # tabulations print the first basis with a spurious 1/sqrt(5) prefactor
-    # on the identity, which cannot be right for unit vectors, so B1 is the
-    # exact canonical basis here
-    return tuple([np.eye(5, dtype=np.complex128)]
-                 + [_quadratic_basis(5, b, "").matrix for b in range(5)])
-
-
 def builtin_family(d: int) -> MubFamily:
     """Complete family from the built-in tables, d in {2, 3, 4, 5}."""
-    builders = {2: _builtin_2, 3: _builtin_3, 4: _builtin_4, 5: _builtin_5}
-    if d not in builders:
+    if d not in BUILTIN_DIMS:
         raise _refuse(d, f"built-in tables cover dimensions {BUILTIN_DIMS}")
-    mats = builders[d]()
-    bases = tuple(Basis(d, m, f"B{i + 1}") for i, m in enumerate(mats))
-    return MubFamily(d, bases)
+    if d == 5:
+        # the published dim-5 tables coincide exactly with the quadratic-phase construction,
+        # so they are generated rather than typed out; some tabulations print the first
+        # basis with a spurious 1/sqrt(5) prefactor on the identity, which cannot be right
+        # for unit vectors, so B1 is the exact canonical basis here
+        return odd_prime_family(5)
+    mats = {2: _builtin_2, 3: _builtin_3, 4: _builtin_4}[d]()
+    return MubFamily(d, tuple(Basis(d, m, f"B{i + 1}") for i, m in enumerate(mats)))
 
 
 def family_for(d: int) -> MubFamily:
@@ -273,13 +264,19 @@ def family_for(d: int) -> MubFamily:
 # ---------------------------------------------------------------------------
 # checks and transforms
 
+def _overlaps(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack m of d x d bases: the blocks g[a, b] = B_a^dag B_b of every
+    ordered pair, and the worst | |<a_i|b_j>|^2 - 1/d | of each block."""
+    g = m.conj().transpose(0, 2, 1)[:, np.newaxis] @ m
+    return g, np.abs(np.abs(g) ** 2 - 1.0 / m.shape[-1]).max(axis=(2, 3))
+
+
 def check_unbiased(a: Basis, b: Basis, tol: float = DEFAULT_TOL) -> CheckResult:
     """Worst deviation of | |<a_i|b_j>|^2 - 1/d | over all vector pairs."""
     tol = validate_tolerance(tol)
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    overlaps = np.abs(a.matrix.conj().T @ b.matrix) ** 2
-    dev = float(np.abs(overlaps - 1.0 / a.dim).max())
+    dev = float(_overlaps(np.array([a.matrix, b.matrix]))[1][0, 1])
     name = f"unbiased({a.label or '?'},{b.label or '?'})"
     return CheckResult(name, dev, dev <= tol)
 
@@ -289,18 +286,13 @@ def check_family(f: MubFamily, tol: float = DEFAULT_TOL) -> VerificationReport:
     unbiasedness. Failures are report entries, never exceptions.
     """
     tol = validate_tolerance(tol)
-    results = [CheckResult("member_count", float(abs(len(f.bases) - (f.dim + 1))),
-                           len(f.bases) == f.dim + 1)]
-    eye = np.eye(f.dim)
-    worst_orth = 0.0
-    for b in f.bases:
-        gram = b.matrix.conj().T @ b.matrix
-        worst_orth = max(worst_orth, float(np.abs(gram - eye).max()))
+    n = len(f.bases)
+    results = [CheckResult("member_count", float(abs(n - (f.dim + 1))), n == f.dim + 1)]
+    g, unbiased = _overlaps(np.array([b.matrix for b in f.bases]))
+    # diagonal blocks are the Gram matrices, the upper triangle the distinct pairs
+    worst_orth = float(np.abs(g[np.arange(n), np.arange(n)] - np.eye(f.dim)).max())
     results.append(CheckResult("orthonormality", worst_orth, worst_orth <= tol))
-    worst_unb = 0.0
-    for i in range(len(f.bases)):
-        for j in range(i + 1, len(f.bases)):
-            worst_unb = max(worst_unb, check_unbiased(f.bases[i], f.bases[j], tol).worst_deviation)
+    worst_unb = float(unbiased[np.triu_indices(n, 1)].max())
     results.append(CheckResult("unbiasedness", worst_unb, worst_unb <= tol))
     return VerificationReport(tuple(results))
 

@@ -57,6 +57,10 @@ class MeasurementRecord:
     shots: int | None = None
 
     def __post_init__(self):
+        # stored as Python ints, so the record always serialises and reads back
+        object.__setattr__(self, "dim", json_int(self.dim, "dim"))
+        if self.shots is not None:
+            object.__setattr__(self, "shots", json_int(self.shots, "shots"))
         p = np.asarray(self.probs, dtype=np.float64)
         if p.ndim != 2 or p.shape[1] != self.dim or p.shape[0] != len(self.labels):
             raise ValueError(f"probability array shape {p.shape} does not match "
@@ -284,14 +288,12 @@ def record_to_json(record: MeasurementRecord) -> dict:
 
 def record_from_json(obj) -> MeasurementRecord:
     try:
-        dim = json_int(obj["dim"], "dim")
-        shots = None if obj["shots"] is None else json_int(obj["shots"], "shots")
         bases = obj["bases"]
         labels = tuple(str(b["label"]) for b in bases)
         probs = np.array([[float(x) for x in b["p"]] for b in bases])
+        return MeasurementRecord(obj["dim"], labels, probs, obj["shots"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed measurement record: {exc}") from exc
-    return MeasurementRecord(dim, labels, probs, shots)
 
 
 def write_record(path, record: MeasurementRecord) -> None:

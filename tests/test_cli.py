@@ -216,9 +216,27 @@ def _float_operator_dim(family, operators):
     return "dim must be an integer, got 3.0"
 
 
+# a string or object where an array belongs would be iterated as characters or keys
+def _string_basis_list(family, operators):
+    family["bases"] = "".join(family["bases"])
+    return "bases must be a JSON array, got str"
+
+
+def _object_class_list(family, operators):
+    operators["classes"] = {c["basis_label"]: c for c in operators["classes"]}
+    return "classes must be a JSON array, got dict"
+
+
+def _string_operator_list(family, operators):
+    operators["classes"][1]["operators"] = operators["classes"][1]["operators"][0]
+    return "operators must be a JSON array, got str"
+
+
 @pytest.mark.parametrize("edit", [_drop_one_name, _drop_one_class, _reverse_classes,
                                   _repeat_basis_label, _repeat_class_label,
-                                  _fractional_family_dim, _float_operator_dim])
+                                  _fractional_family_dim, _float_operator_dim,
+                                  _string_basis_list, _object_class_list,
+                                  _string_operator_list])
 def test_verify_rejects_truncated_or_reordered_operator_export(tmp_path, capsys, edit):
     # a subset of an orthonormal set is still orthonormal, so without a
     # structural check a truncated export would verify as passing; a repeated

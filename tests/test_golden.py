@@ -1,0 +1,63 @@
+"""Golden hashes: the operator sets, the family matrices and the printed
+tables stay byte-for-byte what they were when these hashes were recorded.
+
+A refactor of the constructors or of the stacked operator array that moves a
+single bit fails here. The hashes were recorded with numpy 2.4 and its bundled
+OpenBLAS 0.3.31 on x86-64. OpenBLAS picks its kernels by CPU, so on another
+machine or BLAS the operator GEMMs may round differently: then the operator
+hashes move while the family hashes, which involve no GEMM, still hold.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import numpy as np
+import pytest
+
+from mubkit.classes import build_set
+from mubkit.cli import main
+from mubkit.mub import family_for
+
+# d: (sha256 of build_set(family_for(d)).array, sha256 of the stacked family matrices)
+GOLDEN = {
+    2: ("d765975532f285261a24f11fbfb521b5c893a973ebeb0de886c170fb1cc2842a",
+        "b9d9f13c056e51c9795cf0e33dd6ddd1074792360b1236348ab016463bfde4b2"),
+    3: ("638d611071d416d4cf9ee8983a20f95c44da19c9149f6f0f128e66b65df78ee3",
+        "8312e8e91df6fd482010476f2467743029d524e3705313563faaffdef99932da"),
+    4: ("190b2a2b2365ba1732f821750039a16916206b84ae6d06748eb3dd75b5f397ef",
+        "24723221ff992e9f64006dafdc90cf4b1d73cd8dd4f09a679093aa2e4c7282af"),
+    5: ("fa1f8711d9dba3b55cf58b93e12170d48850801ee85475d496be122fc0027aab",
+        "761ccebdc30bbbb17dd5050f8d2e55cf6b93e5e03e875f9cc59f15aea9301a2d"),
+    7: ("d1598531a104f59e890036f3a6c46c3db658f92d798a356f9f75dc7f2ea12978",
+        "a2aa4145626dbd6afe00404ed153c7361dc50f5b057cb81bcbdf58dba7c5c182"),
+    11: ("85c18a467fd8fb56ae223cda8f9d35f1c48168223aae659a4644caf01965265b",
+         "3db96c41fec2b7f90ef756d5d6d291dea2dba7081af8c45c895b251ab95ded15"),
+    13: ("23aadbed673586e377cfe5cc1608d3558b9a264e4ead824aafcc7f88bed4e6ae",
+         "2ab7f8941b4b173c74eaa643fa619ccaee0f33a1a7fd317a0f0e64e103ea7176"),
+}
+TABLES_SHA256 = "9f63382c49026e5214e75036388cc13af6573c13911d4b85894f78f0f76ff940"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("d", sorted(GOLDEN))
+def test_family_matrices_unchanged(d):
+    family = family_for(d)
+    stacked = np.array([basis.matrix for basis in family.bases])
+    assert sha256(stacked.tobytes()) == GOLDEN[d][1]
+
+
+@pytest.mark.parametrize("d", sorted(GOLDEN))
+def test_operator_array_unchanged(d):
+    assert sha256(build_set(family_for(d)).array.tobytes()) == GOLDEN[d][0]
+
+
+def test_tables_output_unchanged():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["tables"])
+    assert code == 0
+    assert sha256(out.getvalue().encode("utf-8")) == TABLES_SHA256

@@ -114,7 +114,8 @@ def test_matrix_from_json_rejects_malformed(mutate):
 def test_json_int_accepts_only_integers():
     assert json_int(3, "dim") == 3
     assert json_int(-2, "dim") == -2
-    for bad in (True, False, 3.0, 3.9, "3", None, [3], {}):
+    assert type(json_int(np.int64(7), "dim")) is int
+    for bad in (True, False, 3.0, 3.9, "3", None, [3], {}, np.float64(3.0), np.bool_(True)):
         with pytest.raises(ValueError, match="dim must be an integer"):
             json_int(bad, "dim")
     one = matrix_to_json(np.eye(1))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mubkit.matcore import max_abs, root_of_unity
+from mubkit.matcore import DEFAULT_TOL, max_abs, root_of_unity
 from mubkit.mub import (
     BUILTIN_DIMS,
     Basis,
@@ -21,11 +21,45 @@ from mubkit.mub import (
 )
 
 GENERATED_DIMS = (3, 5, 7, 11, 13)
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+SUPPORTED_DIMS = (2, 3, 4, 5, 7, 11, 13, 17, 19, 23)
 
 
 def overlap_deviation(a, b):
     overlaps = np.abs(a.conj().T @ b) ** 2
     return float(np.max(np.abs(overlaps - 1.0 / a.shape[0])))
+
+
+def scalar_phase_basis(d, b):
+    """Component k of vector j is w^(b k^2 + j k)/sqrt(d), one root_of_unity
+    call per entry: the definition the phase table must reproduce."""
+    m = np.empty((d, d), dtype=np.complex128)
+    for k in range(d):
+        for j in range(d):
+            m[k, j] = root_of_unity(d, b * k * k + j * k)
+    return m / np.sqrt(d)
+
+
+def reference_family_checks(family, tol=DEFAULT_TOL):
+    """check_family's values as one Gram product per basis and one overlap
+    product per basis pair: the definition the batched product must reproduce."""
+    eye = np.eye(family.dim)
+    orth = 0.0
+    for b in family.bases:
+        orth = max(orth, float(np.abs(b.matrix.conj().T @ b.matrix - eye).max()))
+    unb = 0.0
+    for i, a in enumerate(family.bases):
+        for b in family.bases[i + 1:]:
+            unb = max(unb, overlap_deviation(a.matrix, b.matrix))
+    return [("member_count", 0.0, True), ("orthonormality", orth, orth <= tol),
+            ("unbiasedness", unb, unb <= tol)]
+
+
+def perturbed(family, index, row, col, delta):
+    bad = family.bases[index].matrix.copy()
+    bad[row, col] += delta
+    basis = Basis(family.dim, bad, family.bases[index].label)
+    return MubFamily(family.dim, family.bases[:index] + (basis,) + family.bases[index + 1:])
 
 
 def test_canonical_basis_is_identity():
@@ -78,8 +112,36 @@ def test_builtin_d2_matches_pauli_eigenbases():
 def test_builtin_d5_equals_quadratic_construction():
     builtin = builtin_family(5)
     generated = odd_prime_family(5)
+    assert builtin.labels == generated.labels
     for a, b in zip(builtin.bases, generated.bases):
-        assert max_abs(a.matrix - b.matrix) < 1e-15
+        assert np.array_equal(a.matrix, b.matrix)
+
+
+def test_fourier_basis_equals_scalar_loop():
+    for d in range(2, 27):
+        assert np.array_equal(fourier_basis(d).matrix, scalar_phase_basis(d, 0)), d
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_odd_prime_family_equals_scalar_loop(p):
+    family = odd_prime_family(p)
+    assert np.array_equal(family.bases[0].matrix, np.eye(p))
+    for b, basis in enumerate(family.bases[1:]):
+        assert np.array_equal(basis.matrix, scalar_phase_basis(p, b)), b
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMS)
+def test_check_family_equals_per_pair_loop(d):
+    rng = np.random.default_rng(d)
+    family = family_for(d)
+    bad = perturbed(family, int(rng.integers(d + 1)), *rng.integers(d, size=2), 3e-7 - 2e-7j)
+    for f in (family, bad):
+        got = [(r.check, r.worst_deviation, r.passed) for r in check_family(f)]
+        assert got == reference_family_checks(f)
+        for a in f.bases:
+            for b in f.bases:
+                assert check_unbiased(a, b).worst_deviation == overlap_deviation(a.matrix, b.matrix)
+    assert not check_family(bad).passed
 
 
 @pytest.mark.parametrize("d", [6])
@@ -132,6 +194,13 @@ def test_family_validation_errors():
         Basis(3, np.eye(2))  # shape mismatch
     with pytest.raises(ValueError):
         Basis(2, np.zeros((2, 3)))
+
+
+def test_family_refuses_repeated_label():
+    family = odd_prime_family(3)
+    bases = (family.bases[0], Basis(3, family.bases[1].matrix, "B1")) + family.bases[2:]
+    with pytest.raises(ValueError, match="repeats basis label B1"):
+        MubFamily(3, bases)
 
 
 def test_basis_matrix_read_only():

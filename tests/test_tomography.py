@@ -246,7 +246,7 @@ def test_reconstruction_report_fidelity_for_pure_reference():
         reconstruct_from_record(record, opset, reference=np.array([np.nan, 1.0]))
 
 
-def test_measurement_record_validation():
+def test_measurement_record_validation(tmp_path):
     good = np.full((3, 2), 0.5)
     MeasurementRecord(2, ("B1", "B2", "B3"), good)
     with pytest.raises(ValueError):
@@ -264,6 +264,18 @@ def test_measurement_record_validation():
         bad[1, 0] = value
         with pytest.raises(ValueError, match="finite"):
             MeasurementRecord(2, ("B1", "B2", "B3"), bad)
+    # dim and shots follow the JSON integer rule, so every record can be written and read back
+    for value in (2.5, True, 2.0, "5"):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            MeasurementRecord(value, ("B1", "B2", "B3"), good)
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            MeasurementRecord(2, ("B1", "B2", "B3"), good, shots=value)
+    record = MeasurementRecord(np.int64(2), ("B1", "B2", "B3"), good, shots=np.int64(1000))
+    assert type(record.dim) is int and type(record.shots) is int
+    write_record(tmp_path / "record.json", record)
+    back = read_record(tmp_path / "record.json")
+    assert (back.dim, back.shots) == (2, 1000)
+    assert np.array_equal(back.probs, good)
 
 
 def test_record_json_round_trip(tmp_path):

@@ -23,6 +23,7 @@ from .matcore import (
     DEFAULT_TOL,
     CheckResult,
     VerificationReport,
+    frozen,
     validate_tolerance,
 )
 from .mub import Basis, BasisTransform, MubFamily, check_family
@@ -57,11 +58,9 @@ class CoefficientVectors:
     vectors: np.ndarray  # shape (d-1, d), real
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=np.float64)
+        v = frozen(self.vectors, np.float64)
         if v.shape != (self.dim - 1, self.dim):
             raise ValueError(f"expected shape {(self.dim - 1, self.dim)}, got {v.shape}")
-        v = np.ascontiguousarray(v)
-        v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
 
 
@@ -108,8 +107,7 @@ class OperatorSet:
                 if np.shape(op) != (d, d):
                     raise ValueError(f"class {label!r} has an operator of shape "
                                      f"{np.shape(op)}, expected {(d, d)}")
-        a = np.array([cls.operators for cls in self.classes], dtype=np.complex128)
-        a.setflags(write=False)
+        a = frozen([cls.operators for cls in self.classes], np.complex128)
         object.__setattr__(self, "array", a)
         object.__setattr__(self, "classes", tuple(
             CommutingClass(cls.basis_label, tuple(a[i]), cls.projectors)

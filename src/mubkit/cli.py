@@ -105,20 +105,31 @@ def _basis_filename(label: str) -> str:
     return f"basis_{label}.json"
 
 
-def _write_family(out: Path, family: MubFamily) -> list[str]:
+def _write_export(out: Path, matrices: dict, manifest_file: str, manifest: dict) -> list[str]:
+    """Write each named matrix, then the manifest, into out; the file names in that order."""
     out.mkdir(parents=True, exist_ok=True)
-    files = []
-    for basis in family.bases:
-        name = _basis_filename(basis.label)
-        write_matrix(out / name, basis.matrix)
-        files.append(name)
+    for name, matrix in matrices.items():
+        write_matrix(out / name, matrix)
+    write_json(out / manifest_file, manifest)
+    return [*matrices, manifest_file]
+
+
+def _write_family(out: Path, family: MubFamily) -> list[str]:
+    matrices = {_basis_filename(basis.label): basis.matrix for basis in family.bases}
     manifest = {
         "dim": family.dim,
         "bases": list(family.labels),
         "convention": "m-descending",
     }
-    write_json(out / _FAMILY_FILE, manifest)
-    return files + [_FAMILY_FILE]
+    return _write_export(out, matrices, _FAMILY_FILE, manifest)
+
+
+def _write_operator_set(out: Path, opset: OperatorSet) -> list[str]:
+    classes = [{"basis_label": cls.basis_label,
+                "operators": [f"op_{cls.basis_label}_k{k}.json" for k in range(1, opset.dim)]}
+               for cls in opset.classes]
+    matrices = dict(zip([name for c in classes for name in c["operators"]], opset.operators))
+    return _write_export(out, matrices, _OPERATORS_FILE, {"dim": opset.dim, "classes": classes})
 
 
 def _load(read, path: Path):
@@ -138,54 +149,41 @@ def _json_list(value, field: str) -> list:
     return value
 
 
-def _read_family(src: Path) -> MubFamily:
-    manifest = _load(read_json, src / _FAMILY_FILE)
+def _read_manifest(src: Path, name: str, field: str, what: str) -> tuple[int, list]:
+    """The integer dim and the JSON-array field of the manifest file src/name."""
+    manifest = _load(read_json, src / name)
     try:
-        dim = json_int(manifest["dim"], "dim")
-        labels = [str(label) for label in _json_list(manifest["bases"], "bases")]
+        return json_int(manifest["dim"], "dim"), _json_list(manifest[field], field)
     except (KeyError, TypeError, ValueError) as exc:
-        raise _LoadError(f"malformed family manifest: {exc!r}")
-    bases = []
-    for label in labels:
-        matrix = _load(read_matrix, src / _basis_filename(label))
+        raise _LoadError(f"malformed {what} manifest: {exc!r}")
+
+
+def _read_matrices(src: Path, names: list[str], dim: int) -> list[np.ndarray]:
+    """The dim x dim matrices in the named files of the export at src."""
+    matrices = []
+    for name in names:
+        # src / name would drop src for an absolute name, and ".." climbs out of it
+        if name in ("", "..") or Path(name).name != name:
+            raise _LoadError(f"export entry {name!r} is not a file name inside the export")
+        matrix = _load(read_matrix, src / name)
         if matrix.shape != (dim, dim):
-            raise _LoadError(
-                f"basis {label} has shape {matrix.shape}, expected ({dim}, {dim})")
-        bases.append(Basis(dim, matrix, label))
+            raise _LoadError(f"{name} has shape {matrix.shape}, expected ({dim}, {dim})")
+        matrices.append(matrix)
+    return matrices
+
+
+def _read_family(src: Path) -> MubFamily:
+    dim, labels = _read_manifest(src, _FAMILY_FILE, "bases", "family")
+    labels = [str(label) for label in labels]
+    matrices = _read_matrices(src, [_basis_filename(label) for label in labels], dim)
     try:
-        return MubFamily(dim, tuple(bases))
+        return MubFamily(dim, tuple(Basis(dim, m, label) for m, label in zip(matrices, labels)))
     except ValueError as exc:
         raise _LoadError(str(exc))
 
 
-def _operator_filename(label: str, k: int) -> str:
-    return f"op_{label}_k{k}.json"
-
-
-def _write_operator_set(out: Path, opset: OperatorSet) -> list[str]:
-    out.mkdir(parents=True, exist_ok=True)
-    files = []
-    classes = []
-    for cls in opset.classes:
-        names = []
-        for k, op in enumerate(cls.operators, start=1):
-            name = _operator_filename(cls.basis_label, k)
-            write_matrix(out / name, op)
-            names.append(name)
-        files.extend(names)
-        classes.append({"basis_label": cls.basis_label, "operators": names})
-    manifest = {"dim": opset.dim, "classes": classes}
-    write_json(out / _OPERATORS_FILE, manifest)
-    return files + [_OPERATORS_FILE]
-
-
 def _read_operator_set(src: Path, family: MubFamily) -> OperatorSet:
-    manifest = _load(read_json, src / _OPERATORS_FILE)
-    try:
-        dim = json_int(manifest["dim"], "dim")
-        entries = _json_list(manifest["classes"], "classes")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _LoadError(f"malformed operator manifest: {exc!r}")
+    dim, entries = _read_manifest(src, _OPERATORS_FILE, "classes", "operator")
     if dim != family.dim:
         raise _LoadError(
             f"operator manifest dimension {dim} does not match family dimension"
@@ -202,16 +200,8 @@ def _read_operator_set(src: Path, family: MubFamily) -> OperatorSet:
             raise _LoadError(f"operator class references unknown basis {label}")
         if any(cls.basis_label == label for cls in classes):
             raise _LoadError(f"operator manifest repeats class label {label}")
-        ops = []
-        for name in names:
-            matrix = _load(read_matrix, src / name)
-            if matrix.shape != (dim, dim):
-                raise _LoadError(
-                    f"{name} has shape {matrix.shape}, expected ({dim}, {dim})")
-            ops.append(matrix)
-        basis = by_label[label]
-        projectors = tuple(basis.projector(i) for i in range(dim))
-        classes.append(CommutingClass(label, tuple(ops), projectors))
+        projectors = tuple(by_label[label].projector(i) for i in range(dim))
+        classes.append(CommutingClass(label, tuple(_read_matrices(src, names, dim)), projectors))
     coeffs = coefficient_vectors(dim)
     try:
         return OperatorSet(dim, tuple(classes), family, coeffs)
@@ -393,19 +383,14 @@ def cmd_tensors(args: argparse.Namespace) -> int:
     if not matrices:
         given = " ".join(f"--{n} {v}" for n, v in (("k", args.k), ("q", args.q)) if v is not None)
         raise ValueError(f"no component T(k, q) with |q| <= k <= 2j = {args.two_j} matches {given}")
-    entries = []
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for (k, q), matrix in matrices.items():
-        name = _tensor_filename(k, q)
-        write_matrix(out / name, matrix)
-        entries.append({"k": k, "q": q, "file": name})
-    write_json(out / "tensors.json", {"two_j": args.two_j, "entries": entries})
+    entries = [{"k": k, "q": q, "file": _tensor_filename(k, q)} for k, q in matrices]
+    files = _write_export(Path(args.out), {e["file"]: m for e, m in zip(entries, matrices.values())},
+                          "tensors.json", {"two_j": args.two_j, "entries": entries})
     _emit({
         "command": "tensors",
         "two_j": args.two_j,
         "out": str(args.out),
-        "files": [e["file"] for e in entries] + ["tensors.json"],
+        "files": files,
     })
     return EXIT_PASS
 

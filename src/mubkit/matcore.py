@@ -29,6 +29,7 @@ __all__ = [
     "CheckResult",
     "VerificationReport",
     "as_matrix",
+    "frozen",
     "json_int",
     "matrix_from_json",
     "matrix_to_json",
@@ -66,6 +67,13 @@ def as_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return arr
+
+
+def frozen(a, dtype) -> np.ndarray:
+    """A read-only, C-ordered copy of a: the caller's array is neither frozen nor aliased."""
+    out = np.array(a, dtype=dtype, order="C")
+    out.setflags(write=False)
+    return out
 
 
 def max_abs(m) -> float:

@@ -30,6 +30,7 @@ from .matcore import (
     CheckResult,
     VerificationReport,
     as_matrix,
+    frozen,
     root_of_unity,
     validate_tolerance,
 )
@@ -96,11 +97,9 @@ class Basis:
     label: str = ""
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
+        m = frozen(as_matrix(self.matrix), np.complex128)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"basis matrix must be {self.dim}x{self.dim}, got {m.shape}")
-        m = np.ascontiguousarray(m)
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     def vector(self, i: int) -> np.ndarray:
@@ -144,11 +143,9 @@ class BasisTransform:
     target_label: str = ""
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
+        m = frozen(as_matrix(self.matrix), np.complex128)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"transform must be {self.dim}x{self.dim}, got {m.shape}")
-        m = np.ascontiguousarray(m)
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 

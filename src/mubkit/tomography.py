@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import CoefficientVectors, OperatorSet
-from .matcore import as_matrix, json_int, read_json, write_json
+from .matcore import as_matrix, frozen, json_int, read_json, write_json
 from .mub import MubFamily
 
 __all__ = [
@@ -61,7 +61,7 @@ class MeasurementRecord:
         object.__setattr__(self, "dim", json_int(self.dim, "dim"))
         if self.shots is not None:
             object.__setattr__(self, "shots", json_int(self.shots, "shots"))
-        p = np.asarray(self.probs, dtype=np.float64)
+        p = frozen(self.probs, np.float64)  # the checks below hold for the stored copy
         if p.ndim != 2 or p.shape[1] != self.dim or p.shape[0] != len(self.labels):
             raise ValueError(f"probability array shape {p.shape} does not match "
                              f"{len(self.labels)} bases of dimension {self.dim}")
@@ -73,8 +73,6 @@ class MeasurementRecord:
             raise ValueError("each basis distribution must sum to 1")
         if self.shots is not None and self.shots < 1:
             raise ValueError(f"shots must be a positive integer, got {self.shots}")
-        p = np.ascontiguousarray(p)
-        p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
 

@@ -61,6 +61,17 @@ def test_coefficient_vectors_read_only():
         coeffs.vectors[0, 0] = 1.0
 
 
+def test_coefficient_vectors_copy_the_callers_array():
+    v = np.array(coefficient_vectors(3).vectors)
+    big = np.stack([v, v])
+    own, view = CoefficientVectors(3, v), CoefficientVectors(3, big[0])
+    assert v.flags.writeable and big.flags.writeable
+    v[0, 0] = big[0, 0, 0] = 7.0
+    for coeffs in (own, view):
+        assert coeffs.vectors[0, 0] == coefficient_vectors(3).vectors[0, 0]
+        assert not coeffs.vectors.flags.writeable
+
+
 @pytest.mark.parametrize("d", ALL_DIMS)
 def test_operator_count(d):
     opset = build_set(family_for(d))

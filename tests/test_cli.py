@@ -206,6 +206,16 @@ def _repeat_class_label(family, operators):
     return "repeats class label B1"
 
 
+def _operator_dim_mismatch(family, operators):
+    operators["dim"] = 4
+    return "operator manifest dimension 4 does not match family dimension 3"
+
+
+def _path_basis_label(family, operators):
+    family["bases"][1] = "../B2"  # a label becomes part of a file name
+    return "export entry 'basis_../B2.json' is not a file name inside the export"
+
+
 def _fractional_family_dim(family, operators):
     family["dim"] = 3.7  # truncated to 3, this export would verify as passing
     return "dim must be an integer, got 3.7"
@@ -233,7 +243,8 @@ def _string_operator_list(family, operators):
 
 
 @pytest.mark.parametrize("edit", [_drop_one_name, _drop_one_class, _reverse_classes,
-                                  _repeat_basis_label, _repeat_class_label,
+                                  _repeat_basis_label, _repeat_class_label, _path_basis_label,
+                                  _operator_dim_mismatch,
                                   _fractional_family_dim, _float_operator_dim,
                                   _string_basis_list, _object_class_list,
                                   _string_operator_list])
@@ -252,6 +263,34 @@ def test_verify_rejects_truncated_or_reordered_operator_export(tmp_path, capsys,
     assert code == EXIT_IO
     assert data["error"] == "io"
     assert expected in data["message"]
+
+
+@pytest.mark.parametrize("outside", ["absolute", "parent"])
+def test_verify_refuses_operator_files_outside_the_export(tmp_path, capsys, outside):
+    # the name points at a valid copy of the operator, so an export that
+    # followed it would verify as passing
+    out = tmp_path / "ops"
+    run_json(capsys, "operators", "--dim", "3", "--out", str(out))
+    copy = tmp_path / "op_x.json"
+    copy.write_bytes((out / "op_B2_k1.json").read_bytes())
+    name = str(copy) if outside == "absolute" else "../op_x.json"
+    manifest = json.loads((out / "operators.json").read_text())
+    manifest["classes"][1]["operators"][0] = name
+    (out / "operators.json").write_text(json.dumps(manifest))
+    code, data = run_json(capsys, "verify", "--in", str(out))
+    assert code == EXIT_IO
+    assert data["error"] == "io"
+    assert data["message"] == f"export entry {name!r} is not a file name inside the export"
+
+
+@pytest.mark.parametrize("name, size", [("basis_B2.json", 5), ("op_B3_k2.json", 2)])
+def test_verify_rejects_matrix_file_of_wrong_shape(tmp_path, capsys, name, size):
+    out = tmp_path / "ops"
+    run_json(capsys, "operators", "--dim", "3", "--out", str(out))
+    write_matrix(out / name, np.eye(size))
+    code, data = run_json(capsys, "verify", "--in", str(out))
+    assert code == EXIT_IO
+    assert data == {"error": "io", "message": f"{name} has shape ({size}, {size}), expected (3, 3)"}
 
 
 def test_verify_operators_without_family_is_io_error(tmp_path, capsys):

@@ -1,11 +1,14 @@
-"""Golden hashes: the operator sets, the family matrices and the printed
-tables stay byte-for-byte what they were when these hashes were recorded.
+"""Golden hashes: the operator sets, the family matrices, the printed tables
+and three CLI exports stay byte-for-byte what they were when these hashes
+were recorded.
 
-A refactor of the constructors or of the stacked operator array that moves a
-single bit fails here. The hashes were recorded with numpy 2.4 and its bundled
-OpenBLAS 0.3.31 on x86-64. OpenBLAS picks its kernels by CPU, so on another
-machine or BLAS the operator GEMMs may round differently: then the operator
-hashes move while the family hashes, which involve no GEMM, still hold.
+A refactor of the constructors, of the stacked operator array or of the
+export writer that moves a single bit fails here. The hashes were recorded
+with numpy 2.4 and its bundled OpenBLAS 0.3.31 on x86-64. OpenBLAS picks its
+kernels by CPU, so on another machine or BLAS the operator GEMMs may round
+differently: then the operator hashes move while the family hashes, which
+involve no GEMM, still hold. The export hashes cover the printed and written
+verification reports, so they depend on BLAS too.
 """
 
 import contextlib
@@ -38,6 +41,21 @@ GOLDEN = {
 }
 TABLES_SHA256 = "9f63382c49026e5214e75036388cc13af6573c13911d4b85894f78f0f76ff940"
 
+# argv (with a relative --out, so stdout does not name a temporary path):
+# (sha256 of stdout, sha256 of the "<file name> <sha256 of its bytes>" lines
+# of every exported file, sorted by name)
+EXPORTS = {
+    ("operators", "--dim", "3", "--out", "ops"): (
+        "9c33e77ef36d653c284d70823749861bd85a96b4362a33fcbf8ae19bd136f7ed",
+        "75a446a788b78a19e4d22fb34bfd42d1455163890cb26bf894cc04311bb7f18f"),
+    ("mub", "--dim", "4", "--out", "fam"): (
+        "5ff6810394227d847a3c1ebb4f6ef2e855cb4d05530528900025e5792b8bf22f",
+        "b3a48c1bb292f38d4d671d7d9cdb5260b5bd68353861b984b09ae2ec8db97c82"),
+    ("tensors", "--two-j", "3", "--out", "tens"): (
+        "e4f2a98d4ae2e56a612115921f5ab8d2b6bcf7d542dd2ca834c1bbd2419cfb5c",
+        "568e3c5a00da14bafc24d751f9644a740608f26f7d9fa9327648531284590f1b"),
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -61,3 +79,16 @@ def test_tables_output_unchanged():
         code = main(["tables"])
     assert code == 0
     assert sha256(out.getvalue().encode("utf-8")) == TABLES_SHA256
+
+
+@pytest.mark.parametrize("argv", list(EXPORTS), ids=lambda argv: argv[0])
+def test_export_bytes_unchanged(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MUBKIT_TOL", raising=False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    assert code == 0
+    listing = "\n".join(f"{path.name} {sha256(path.read_bytes())}"
+                        for path in sorted((tmp_path / argv[-1]).iterdir()))
+    assert (sha256(out.getvalue().encode("utf-8")), sha256(listing.encode("utf-8"))) == EXPORTS[argv]

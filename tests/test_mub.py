@@ -7,6 +7,7 @@ from mubkit.matcore import DEFAULT_TOL, max_abs, root_of_unity
 from mubkit.mub import (
     BUILTIN_DIMS,
     Basis,
+    BasisTransform,
     MubFamily,
     UnsupportedDimensionError,
     builtin_family,
@@ -207,6 +208,20 @@ def test_basis_matrix_read_only():
     basis = canonical_basis(3)
     with pytest.raises(ValueError):
         basis.matrix[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("container", [Basis, BasisTransform])
+def test_basis_containers_copy_the_callers_matrix(container):
+    # the caller's array stays writable, and a later write to it or to its
+    # base never reaches the stored (read-only) matrix
+    m = np.eye(3, dtype=np.complex128)
+    big = np.stack([m, m])
+    own, view = container(3, m), container(3, big[0])
+    assert m.flags.writeable and big.flags.writeable
+    m[0, 0] = big[0, 0, 0] = 5.0
+    for obj in (own, view):
+        assert obj.matrix[0, 0] == 1.0
+        assert not obj.matrix.flags.writeable
 
 
 def test_one_axis_twist_advances_builtin_d3_labels():

@@ -246,6 +246,20 @@ def test_reconstruction_report_fidelity_for_pure_reference():
         reconstruct_from_record(record, opset, reference=np.array([np.nan, 1.0]))
 
 
+def test_measurement_record_copies_the_callers_array():
+    # a write after construction must not slip an invalid distribution past
+    # the validation into record.probs
+    labels = ("B1", "B2", "B3")
+    p = np.full((3, 2), 0.5)
+    big = np.stack([p, p])
+    own, view = MeasurementRecord(2, labels, p), MeasurementRecord(2, labels, big[0])
+    assert p.flags.writeable and big.flags.writeable
+    p[0] = big[0, 0] = [1.5, -0.5]
+    for record in (own, view):
+        assert np.array_equal(record.probs, np.full((3, 2), 0.5))
+        assert not record.probs.flags.writeable
+
+
 def test_measurement_record_validation(tmp_path):
     good = np.full((3, 2), 0.5)
     MeasurementRecord(2, ("B1", "B2", "B3"), good)

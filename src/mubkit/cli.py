@@ -25,7 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .classes import CommutingClass, OperatorSet, build_set, coefficient_vectors, verify_set
+from .classes import (
+    MAX_DIM,
+    CommutingClass,
+    OperatorSet,
+    build_set,
+    coefficient_vectors,
+    verify_set,
+)
 from .matcore import (
     DEFAULT_TOL,
     json_int,
@@ -368,8 +375,8 @@ def _tensor_filename(k: int, q: int) -> str:
 
 
 def cmd_tensors(args: argparse.Namespace) -> int:
-    if args.two_j < 1:
-        raise ValueError("--two-j must be a positive integer")
+    if not 1 <= args.two_j <= MAX_DIM - 1:
+        raise ValueError(f"--two-j must satisfy 1 <= 2j <= {MAX_DIM - 1}, got {args.two_j}")
     j = args.two_j / 2
     if args.k is not None:
         ranks = [args.k]

@@ -118,6 +118,8 @@ class MubFamily:
     bases: tuple[Basis, ...]
 
     def __post_init__(self):
+        if self.dim < 2:
+            raise ValueError(f"a family needs dimension at least 2, got {self.dim}")
         if len(self.bases) != self.dim + 1:
             raise ValueError(f"a complete family in dimension {self.dim} needs "
                              f"{self.dim + 1} bases, got {len(self.bases)}")

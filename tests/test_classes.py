@@ -27,6 +27,8 @@ from mubkit.mub import (
 from reference_tables import PAULI_X, PAULI_Y, PAULI_Z, alpha_d3
 
 ALL_DIMS = (2, 3, 4, 5, 7, 11)
+# every d <= 26 that family_for supports: the d = 2..5 tables and the odd primes
+SUPPORTED_DIMS = ALL_DIMS + (13, 17, 19, 23)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -95,7 +97,7 @@ def test_d3_set_matches_tabulated_operators():
         assert max_abs(got - want) < 1e-12
 
 
-@pytest.mark.parametrize("d", ALL_DIMS)
+@pytest.mark.parametrize("d", SUPPORTED_DIMS)
 def test_verify_set_passes(d):
     opset = build_set(family_for(d))
     report = verify_set(opset)
@@ -255,11 +257,8 @@ def reference_checks(s, tol=DEFAULT_TOL):
     n = len(s.classes)
     for i in range(n):
         for j in range(i + 1, n):
-            best = 0.0
-            for a in s.classes[i].operators:
-                for b in s.classes[j].operators:
-                    best = max(best, float(np.abs(a @ b - b @ a).max()))
-            witness = min(witness, best)
+            a, b = s.classes[i].operators[0], s.classes[j].operators[0]
+            witness = min(witness, float(np.abs(a @ b - b @ a).max()))
     results.append(("cross_class_witness", float(witness), witness >= NONCOMMUTING_FLOOR))
 
     full = [np.eye(d, dtype=np.complex128)] + ops
@@ -288,6 +287,40 @@ def test_verify_set_matches_loop_reference(d):
 @pytest.mark.parametrize("d", [3, 5])
 def test_verify_set_matches_loop_reference_on_tampered_sets(d, tamper):
     assert_matches_reference(tamper(build_set(family_for(d))))
+
+
+def all_pairs_witness(s):
+    """Min over class pairs of the largest commutator entry over all operator pairs."""
+    witness = np.inf
+    n = len(s.classes)
+    for i in range(n):
+        for j in range(i + 1, n):
+            best = 0.0
+            for a in s.classes[i].operators:
+                for b in s.classes[j].operators:
+                    best = max(best, float(np.abs(a @ b - b @ a).max()))
+            witness = min(witness, best)
+    return witness
+
+
+@pytest.mark.parametrize("d", ALL_DIMS + (13,))
+def test_cross_class_witness_is_a_lower_bound_of_all_pairs(d):
+    opset = build_set(family_for(d))
+    witness = verify_set(opset).result("cross_class_witness").worst_deviation
+    assert NONCOMMUTING_FLOOR <= witness <= all_pairs_witness(opset)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_verify_set_flags_commuting_first_operators(d):
+    # class 1 keeps operators that fail to commute with class 0, but its first
+    # operator is class 0's first, so the fixed pair of that class pair commutes
+    opset = build_set(family_for(d))
+    ops = opset.classes[1].operators
+    bad = replace_class_operators(opset, 1, (opset.classes[0].operators[0],) + ops[1:])
+    assert all_pairs_witness(bad) >= NONCOMMUTING_FLOOR
+    report = verify_set(bad)
+    assert not report.result("cross_class_witness").passed
+    assert not report.passed
 
 
 @pytest.mark.parametrize("d", ALL_DIMS + (13,))

@@ -301,6 +301,25 @@ def test_verify_operators_without_family_is_io_error(tmp_path, capsys):
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize("dim, bases, operators", [
+    (1, 2, False),  # two 1x1 identity bases: a complete family in form only
+    (-1, 0, False),  # no bases, as many as dim + 1 asks for
+    (1, 2, True),
+])
+def test_verify_rejects_family_dimension_below_two(tmp_path, capsys, dim, bases, operators):
+    out = tmp_path / "fam"
+    out.mkdir()
+    labels = [f"B{i + 1}" for i in range(bases)]
+    for label in labels:
+        write_matrix(out / f"basis_{label}.json", np.eye(1))
+    (out / "family.json").write_text(json.dumps({"dim": dim, "bases": labels}))
+    if operators:
+        (out / "operators.json").write_text(json.dumps({"dim": dim, "classes": []}))
+    code, data = run_json(capsys, "verify", "--in", str(out))
+    assert code == EXIT_IO
+    assert data == {"error": "io", "message": f"a family needs dimension at least 2, got {dim}"}
+
+
 def test_operators_dimension_six_refused(capsys):
     code, data = run_json(capsys, "operators", "--dim", "6")
     assert code == EXIT_UNSUPPORTED
@@ -352,6 +371,15 @@ def test_tensors_invalid_rank(tmp_path, capsys):
     code, data = run_json(capsys, "tensors", "--two-j", "2", "--k", "9",
                           "--out", str(out))
     assert code == EXIT_UNSUPPORTED
+    assert not out.exists()
+
+
+def test_tensors_spin_above_ceiling_leaves_no_directory(tmp_path, capsys):
+    # 2j + 1 = 27 is one past the largest supported dimension
+    out = tmp_path / "tens"
+    code, data = run_json(capsys, "tensors", "--two-j", "26", "--out", str(out))
+    assert code == EXIT_UNSUPPORTED
+    assert data == {"error": "invalid", "message": "--two-j must satisfy 1 <= 2j <= 25, got 26"}
     assert not out.exists()
 
 

@@ -191,6 +191,10 @@ def test_family_validation_errors():
     bases = tuple(odd_prime_family(3).bases[:3])
     with pytest.raises(ValueError):
         MubFamily(3, bases)  # wrong member count
+    with pytest.raises(ValueError, match="at least 2, got 1"):
+        MubFamily(1, (Basis(1, np.eye(1), "B1"), Basis(1, np.eye(1), "B2")))
+    with pytest.raises(ValueError, match="at least 2, got -1"):
+        MubFamily(-1, ())
     with pytest.raises(ValueError):
         Basis(3, np.eye(2))  # shape mismatch
     with pytest.raises(ValueError):

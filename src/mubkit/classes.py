@@ -40,9 +40,9 @@ __all__ = [
     "verify_set",
 ]
 
-# The exact-rational Clebsch-Gordan kernel underneath tensor_diagonal is
-# comfortable far beyond this, but 26 (= spin 25/2) is the stated support
-# ceiling, so larger requests are refused rather than silently accepted.
+# The exact integer recurrence underneath tensor_diagonal is comfortable far
+# beyond this, but 26 (= spin 25/2) is the stated support ceiling, so larger
+# requests are refused rather than silently accepted.
 MAX_DIM = 26
 
 # cross-class pairs must contain at least one visibly non-commuting pair;

@@ -14,14 +14,21 @@ Conventions
 
   so Tr(T(k,q)^dag T(k',q')) = (2j+1) delta_kk' delta_qq' and
   T(k,q)^dag = (-1)^q T(k,-q).
-* Clebsch-Gordan coefficients are evaluated with the Racah factorial sum in
-  exact rational arithmetic and rounded to float once at the end; they are
-  accurate to a few ulp for every spin this package reaches (j <= 25/2).
+* Clebsch-Gordan coefficients, and through them spherical_tensor, are
+  evaluated with the Racah factorial sum in exact rational arithmetic and
+  rounded to float once at the end; they are accurate to a few ulp for every
+  spin this package reaches (j <= 25/2).
+* tensor_diagonal takes the diagonal of T(k, 0) from the integer three-term
+  recurrence of the discrete Chebyshev polynomials (the Hahn polynomials with
+  alpha = beta = 0, DLMF 18.19-18.22). It reaches the same exact rational as
+  the Racah sum and rounds it the same way, so the two routes agree bit for
+  bit; spherical_tensor(j, k, 0) is the independent check.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -39,10 +46,32 @@ __all__ = [
 def _doubled(x, name: str = "spin") -> int:
     """Twice the value, validated to be an exact integer."""
     two = 2.0 * float(x)
-    r = round(two)
-    if abs(two - r) > 1e-9:
+    if not math.isfinite(two) or abs(two - round(two)) > 1e-9:
         raise ValueError(f"{name} must be an integer or half-integer, got {x!r}")
-    return int(r)
+    return int(round(two))
+
+
+def _integer(x, name: str) -> int:
+    """x as an int. Integers and integral floats pass; bools, strings and
+    fractional or non-finite numbers raise ValueError naming the argument."""
+    if (isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real)
+            or not (isinstance(x, numbers.Integral) or float(x).is_integer())):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
+def _tensor_indices(j, k, q) -> tuple[int, int, int]:
+    """(2j, k, q) for T(k, q) of spin j, validated: 0 <= k <= 2j, |q| <= k."""
+    tj = _doubled(j, "j")
+    if tj < 0:
+        raise ValueError(f"spin must be nonnegative, got {j!r}")
+    k = _integer(k, "rank k")
+    q = _integer(q, "component q")
+    if not 0 <= k <= tj:
+        raise ValueError(f"rank must satisfy 0 <= k <= 2j = {tj}, got k={k}")
+    if abs(q) > k:
+        raise ValueError(f"component must satisfy |q| <= k = {k}, got q={q}")
+    return tj, k, q
 
 
 def _cg_doubled(tj1: int, tm1: int, tj2: int, tm2: int, tj3: int, tm3: int) -> float:
@@ -118,15 +147,7 @@ def spherical_tensor(j, k: int, q: int = 0) -> np.ndarray:
 
     Requires 0 <= k <= 2j (integer k) and |q| <= k.
     """
-    tj = _doubled(j, "j")
-    if tj < 0:
-        raise ValueError(f"spin must be nonnegative, got {j!r}")
-    k = int(k)
-    q = int(q)
-    if not 0 <= k <= tj:
-        raise ValueError(f"rank must satisfy 0 <= k <= 2j = {tj}, got k={k}")
-    if abs(q) > k:
-        raise ValueError(f"component must satisfy |q| <= k = {k}, got q={q}")
+    tj, k, q = _tensor_indices(j, k, q)
     d = tj + 1
     out = np.zeros((d, d), dtype=np.complex128)
     scale = math.sqrt(2.0 * k + 1.0)
@@ -140,8 +161,36 @@ def spherical_tensor(j, k: int, q: int = 0) -> np.ndarray:
 
 
 def tensor_diagonal(j, k: int) -> np.ndarray:
-    """Real diagonal of T(k, 0), m-descending."""
-    return np.ascontiguousarray(np.diag(spherical_tensor(j, k, 0)).real)
+    """Real diagonal of T(k, 0), m-descending; equal bit for bit to the
+    diagonal of spherical_tensor(j, k, 0).
+
+    With d = 2j + 1, entry x (m = j - x) is
+
+        (-1)^k t_k(x) sqrt((2k+1) / prod_{i=1..k} (d^2 - i^2)),
+
+    where t_k is the discrete Chebyshev polynomial on x = 0..d-1: t_0 = 1 and
+    (n+1) t_{n+1} = (2n+1) u t_n - n (d^2 - n^2) t_{n-1} with u = 2x - d + 1,
+    which stays in the integers (DLMF 18.22).
+    """
+    tj, k, _ = _tensor_indices(j, k, 0)
+    d = tj + 1
+    u = [2 * x - tj for x in range(d)]
+    t_prev, t = [0] * d, [1] * d
+    norm = 1
+    for n in range(k):
+        c = n * (d * d - n * n)
+        t_prev, t = t, [((2 * n + 1) * ux * a - c * b) // (n + 1)
+                        for ux, a, b in zip(u, t, t_prev)]
+        norm *= d * d - (n + 1) ** 2
+    scale = math.sqrt(2.0 * k + 1.0)
+    out = np.zeros(d)
+    for x, v in enumerate(t):
+        if v:
+            # int / int is correctly rounded, as is float(Fraction(v*v, norm)),
+            # the rounding the Racah route applies to the same rational
+            mag = scale * math.sqrt(v * v / norm)
+            out[x] = mag if (v > 0) == (k % 2 == 0) else -mag
+    return out
 
 
 def rank3_tensor_polynomial(j, variant: str = "product") -> np.ndarray:
@@ -218,12 +267,9 @@ def weyl_tensor(j, k: int, q: int = 0) -> np.ndarray:
     any other q raises ValueError. Agrees with spherical_tensor(j, k, 0) to
     machine precision, by a completely different route.
     """
-    tj = _doubled(j, "j")
-    k = int(k)
-    if int(q) != 0:
+    tj, k, q = _tensor_indices(j, k, q)
+    if q != 0:
         raise ValueError("only the q = 0 component is supported by this construction")
-    if not 0 <= k <= tj:
-        raise ValueError(f"rank must satisfy 0 <= k <= 2j = {tj}, got k={k}")
     jx, jy, jz = angular_momentum(j)
     w = _symmetrized_words(jx, jy, jz)
 

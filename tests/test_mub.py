@@ -272,6 +272,23 @@ def test_one_axis_twist_maps_fourier_into_family():
         assert dev < 1e-12
 
 
+@pytest.mark.parametrize("d", ODD_PRIMES)
+def test_one_axis_twist_certificate_at_every_odd_prime(d):
+    # exp(i m^2 2 pi b/d) turns Fourier column j into quadratic basis b's
+    # column j + b, up to a phase, so B_{b+2} = twist @ Fourier as columns
+    family = odd_prime_family(d)
+    fourier = fourier_basis(d).matrix
+    for b in range(d):
+        twisted = one_axis_twist(d, -2 * np.pi * b / d).matrix @ fourier
+        target = family.bases[b + 1].matrix
+        match = np.argmax(np.abs(target.conj().T @ twisted), axis=0)
+        assert sorted(match) == list(range(d)), b
+        for col, row in enumerate(match):
+            phase = np.vdot(target[:, row], twisted[:, col])
+            assert abs(abs(phase) - 1.0) < 1e-12
+            assert max_abs(twisted[:, col] - phase * target[:, row]) < 1e-12, (b, col)
+
+
 def test_unitary_between_maps_bases():
     family = odd_prime_family(5)
     a, b = family.bases[1], family.bases[3]

@@ -127,6 +127,62 @@ def test_tensor_diagonal_reference_values(key):
     assert max_abs(tensor_diagonal(j, k) - _DIAGONAL_ORACLE[key]) < 1e-12
 
 
+@pytest.mark.parametrize("two_j", range(26))
+def test_tensor_diagonal_recurrence_matches_racah_bytes(two_j):
+    # the discrete-Chebyshev recurrence and the Racah sum reach the same
+    # exact rational and round it the same way, so every byte agrees
+    j = two_j / 2
+    for k in range(two_j + 1):
+        racah = np.ascontiguousarray(np.diag(spherical_tensor(j, k, 0)).real)
+        assert tensor_diagonal(j, k).tobytes() == racah.tobytes(), k
+
+
+@pytest.mark.parametrize("spin", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_spins_refused(spin):
+    message = "must be an integer or half-integer"
+    calls = [
+        lambda: clebsch_gordan(spin, 1, 1, 0, 0, 0),
+        lambda: clebsch_gordan(1, 1, 1, spin, 0, 0),
+        lambda: angular_momentum(spin),
+        lambda: spherical_tensor(spin, 1, 0),
+        lambda: tensor_diagonal(spin, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+_NON_INTEGER_INDICES = [
+    (tensor_diagonal, (1, 1.5), "rank k"),
+    (tensor_diagonal, (1, "1"), "rank k"),
+    (tensor_diagonal, (1, True), "rank k"),
+    (tensor_diagonal, (1, np.bool_(True)), "rank k"),
+    (tensor_diagonal, (1, float("nan")), "rank k"),
+    (spherical_tensor, (1, 2, 0.7), "component q"),
+    (spherical_tensor, (1, 2.5, 0), "rank k"),
+    (spherical_tensor, (1, 1, "0"), "component q"),
+    (spherical_tensor, (1, 1, False), "component q"),
+    (weyl_tensor, (1, 1.5), "rank k"),
+    (weyl_tensor, (1, 1, 0.5), "component q"),
+    (weyl_tensor, (1, 1, None), "component q"),
+]
+
+
+@pytest.mark.parametrize("func,args,name", _NON_INTEGER_INDICES,
+                         ids=[f"{f.__name__}{a!r}" for f, a, _ in _NON_INTEGER_INDICES])
+def test_non_integer_rank_or_component_refused(func, args, name):
+    # truncating such a value would silently give a different, valid tensor
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        func(*args)
+
+
+def test_integral_rank_and_component_types_accepted():
+    assert np.array_equal(tensor_diagonal(1, 2.0), tensor_diagonal(1, 2))
+    assert np.array_equal(tensor_diagonal(1.5, np.int64(3)), tensor_diagonal(1.5, 3))
+    assert np.array_equal(spherical_tensor(1, np.int32(2), -1.0), spherical_tensor(1, 2, -1))
+    assert np.array_equal(weyl_tensor(1, 2.0, np.int8(0)), weyl_tensor(1, 2))
+
+
 @pytest.mark.parametrize("two_j", [1, 2, 3, 4, 5, 7])
 def test_spherical_tensor_orthonormality(two_j):
     # Tr(tau_k_q^dag tau_k'_q') = (2j+1) delta_kk' delta_qq'

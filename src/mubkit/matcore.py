@@ -158,7 +158,11 @@ def json_int(value, field: str) -> int:
 # {"rows": r, "cols": c, "data": [[{"re": x, "im": y}, ...], ...]}
 #
 # json serializes floats via repr (shortest round-trip form), so a write/read
-# cycle reproduces every entry bit for bit.
+# cycle reproduces every entry bit for bit. write_matrix renders a file from
+# one layout template with a %r slot per real and imaginary part, which gives
+# the same bytes as write_json(path, matrix_to_json(m)) without building the
+# dict or running json's pure-Python indenting encoder; a test pins the bytes.
+# Every entry read back must be a JSON number: strings and bools are refused.
 
 def matrix_to_json(m) -> dict:
     m = as_matrix(m)
@@ -179,20 +183,41 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if rows < 1 or cols < 1 or not isinstance(data, list) or len(data) != rows:
         raise ValueError("matrix JSON shape fields do not match data")
-    out = np.empty((rows, cols), dtype=np.complex128)
+    parts = []  # re, im interleaved, row-major
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
             raise ValueError(f"matrix JSON row {i} has wrong length")
         for j, cell in enumerate(row):
             try:
-                out[i, j] = complex(float(cell["re"]), float(cell["im"]))
-            except (KeyError, TypeError, ValueError) as exc:
+                parts += _json_number(cell["re"]), _json_number(cell["im"])
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"malformed matrix JSON entry ({i},{j}): {exc}") from exc
-    return as_matrix(out)
+    return as_matrix(np.array(parts).view(np.complex128).reshape(rows, cols))
+
+
+def _json_number(x) -> float:
+    """float(x) for a JSON number; strings, bools and other types are refused."""
+    if type(x) is float:
+        return x
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"not a JSON number: {x!r}")
+    return float(x)  # OverflowError for an int beyond float range
+
+
+def _matrix_layout(rows: int, cols: int) -> str:
+    """json.dumps(matrix_to_json(m), indent=2) for an r x c matrix, with one %r
+    slot per real and imaginary part in row-major order."""
+    cell = '      {\n        "re": %r,\n        "im": %r\n      }'
+    row = "    [\n" + ",\n".join([cell] * cols) + "\n    ]" if cols else "    []"
+    data = "[\n" + ",\n".join([row] * rows) + "\n  ]" if rows else "[]"
+    return f'{{\n  "rows": {rows},\n  "cols": {cols},\n  "data": {data}\n}}'
 
 
 def write_matrix(path, m) -> None:
-    write_json(path, matrix_to_json(m))
+    """The bytes of write_json(path, matrix_to_json(m)), from one template."""
+    m = np.ascontiguousarray(as_matrix(m))
+    parts = m.view(np.float64).ravel().tolist()  # re, im interleaved; repr is json's
+    Path(path).write_text(_matrix_layout(*m.shape) % tuple(parts), encoding="utf-8")
 
 
 def read_matrix(path) -> np.ndarray:

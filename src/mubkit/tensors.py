@@ -44,11 +44,19 @@ __all__ = [
 
 
 def _doubled(x, name: str = "spin") -> int:
-    """Twice the value, validated to be an exact integer."""
-    two = 2.0 * float(x)
-    if not math.isfinite(two) or abs(two - round(two)) > 1e-9:
-        raise ValueError(f"{name} must be an integer or half-integer, got {x!r}")
-    return int(round(two))
+    """Twice x as an int. x must be a real number of float range (not a bool
+    or a string) whose double is exactly integral; anything else raises
+    ValueError naming the argument."""
+    try:
+        real = (not isinstance(x, (bool, np.bool_)) and isinstance(x, numbers.Real)
+                and math.isfinite(float(x)))
+    except OverflowError:  # an int or fraction beyond float range
+        real = False
+    if real:
+        two = 2 * Fraction(x if isinstance(x, numbers.Rational) else float(x))
+        if two.denominator == 1:
+            return int(two)
+    raise ValueError(f"{name} must be an integer or half-integer, got {x!r}")
 
 
 def _integer(x, name: str) -> int:

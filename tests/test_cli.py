@@ -293,6 +293,20 @@ def test_verify_rejects_matrix_file_of_wrong_shape(tmp_path, capsys, name, size)
     assert data == {"error": "io", "message": f"{name} has shape ({size}, {size}), expected (3, 3)"}
 
 
+@pytest.mark.parametrize("part, value", [("re", "1.5"), ("im", True)])
+def test_verify_rejects_matrix_entry_that_is_not_a_number(tmp_path, capsys, part, value):
+    # float() would read "1.5" as 1.5 and true as 1.0
+    out = tmp_path / "ops"
+    run_json(capsys, "operators", "--dim", "3", "--out", str(out))
+    matrix = json.loads((out / "op_B2_k1.json").read_text())
+    matrix["data"][0][0][part] = value
+    (out / "op_B2_k1.json").write_text(json.dumps(matrix))
+    code, data = run_json(capsys, "verify", "--in", str(out))
+    assert code == EXIT_IO
+    assert data == {"error": "io", "message": "op_B2_k1.json: malformed matrix JSON entry "
+                                              f"(0,0): not a JSON number: {value!r}"}
+
+
 def test_verify_operators_without_family_is_io_error(tmp_path, capsys):
     out = tmp_path / "ops"
     run_json(capsys, "operators", "--dim", "2", "--out", str(out))

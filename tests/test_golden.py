@@ -1,5 +1,5 @@
 """Golden hashes: the operator sets, the family matrices, the printed tables
-and three CLI exports stay byte-for-byte what they were when these hashes
+and five CLI exports stay byte-for-byte what they were when these hashes
 were recorded.
 
 A refactor of the constructors, of the stacked operator array or of the
@@ -54,6 +54,13 @@ EXPORTS = {
     ("tensors", "--two-j", "3", "--out", "tens"): (
         "e4f2a98d4ae2e56a612115921f5ab8d2b6bcf7d542dd2ca834c1bbd2419cfb5c",
         "568e3c5a00da14bafc24d751f9644a740608f26f7d9fa9327648531284590f1b"),
+    # the exports the benchmark's CLI round trip writes, and a generated family
+    ("operators", "--dim", "11", "--out", "ops"): (
+        "7934a4b1abccb7f9984ece492f9877f0e39ae2c1794823ce5da9db8b7f1083d9",
+        "6fc3141ecdfb221dba3cb495334192695b31d321e4097b829e5fc1f6ba2c9ef0"),
+    ("mub", "--dim", "11", "--source", "generated", "--out", "fam"): (
+        "e1c2c0dcf8e886dccb44f4bb6e64cf8d3fc8000bdef8908976128f60e02b4783",
+        "bca734794ecc3466c1b7cabc9fea1dec244d1c69d4786b60fe1e7cdf6d4598d4"),
 }
 
 
@@ -81,7 +88,8 @@ def test_tables_output_unchanged():
     assert sha256(out.getvalue().encode("utf-8")) == TABLES_SHA256
 
 
-@pytest.mark.parametrize("argv", list(EXPORTS), ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", list(EXPORTS),
+                         ids=lambda argv: argv[0] + ("-d11" if "11" in argv else ""))
 def test_export_bytes_unchanged(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("MUBKIT_TOL", raising=False)

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mubkit.matcore import (
     DEFAULT_TOL,
@@ -98,6 +100,9 @@ def test_matrix_json_round_trip():
     lambda d: d["data"][0].pop(),
     lambda d: d["data"][0].__setitem__(0, {"re": 1.0}),
     lambda d: d["data"][0].__setitem__(0, {"re": "x", "im": 0.0}),
+    # entries must be JSON numbers, not values float() happens to accept
+    lambda d: d["data"][0].__setitem__(0, {"re": "1.5", "im": 0.0}),
+    lambda d: d["data"][0].__setitem__(0, {"re": 1.5, "im": True}),
     lambda d: d.__setitem__("rows", 7),
     # shape fields must be JSON integers, not numbers that truncate to one
     lambda d: d.__setitem__("rows", 2.0),
@@ -131,6 +136,43 @@ def test_matrix_file_round_trip(tmp_path):
     assert np.array_equal(read_matrix(path), m)
     # the one file layout: indent=2, UTF-8, no trailing newline
     assert path.read_text(encoding="utf-8") == json.dumps(matrix_to_json(m), indent=2)
+
+
+# the edges of float repr: signed zero, the smallest subnormal, the largest
+# finite float, the first float json prints in exponent form, integral values
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                -1.7976931348623157e308, 1e16, -1e16, 1.0, -3.0, 2.0 ** 53]
+_ENTRIES = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                     st.integers(-2 ** 60, 2 ** 60).map(float),
+                     st.floats(allow_nan=False, allow_infinity=False))
+
+
+def assert_written_as_json_dumps(path, m):
+    write_matrix(path, m)
+    assert path.read_bytes() == json.dumps(matrix_to_json(m), indent=2).encode("utf-8")
+    # every bit comes back, the sign of zero included
+    assert read_matrix(path).tobytes() == np.ascontiguousarray(m).tobytes()
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 26), st.integers(1, 26), st.data())
+def test_write_matrix_template_matches_json_dumps(tmp_path, rows, cols, data):
+    size = 2 * rows * cols
+    parts = data.draw(st.lists(_ENTRIES, min_size=size, max_size=size))
+    m = np.array(parts).view(np.complex128).reshape(rows, cols)  # re, im interleaved
+    assert_written_as_json_dumps(tmp_path / "m.json", m)
+
+
+@pytest.mark.parametrize("view", [
+    lambda m: m.T,
+    lambda m: m[::2, ::3],
+    np.asfortranarray,
+], ids=["transpose", "strided", "fortran"])
+def test_write_matrix_non_contiguous(tmp_path, view):
+    rng = np.random.default_rng(5)
+    m = view(rng.normal(size=(7, 9)) + 1j * rng.normal(size=(7, 9)))
+    assert not m.flags.c_contiguous
+    assert_written_as_json_dumps(tmp_path / "m.json", m)
 
 
 def test_read_matrix_bad_file(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for angular momentum matrices and spherical tensor operators."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,26 @@ def test_non_finite_spins_refused(spin):
     for call in calls:
         with pytest.raises(ValueError, match=message):
             call()
+
+
+@pytest.mark.parametrize("spin", ["1", True, np.bool_(True), 1 + 1e-10, 10 ** 400, None],
+                         ids=["string", "bool", "numpy-bool", "near-integer", "huge", "none"])
+def test_spin_must_be_an_exact_half_integer(spin):
+    # each of these used to pass as spin 1, or to overflow, instead of raising
+    calls = [
+        lambda: tensor_diagonal(spin, 1),
+        lambda: angular_momentum(spin),
+        lambda: spherical_tensor(spin, 1, 0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="j must be an integer or half-integer"):
+            call()
+
+
+def test_exact_half_integer_spin_types_accepted():
+    for spin in (1.5, np.float64(1.5), np.float32(1.5), Fraction(3, 2)):
+        assert np.array_equal(tensor_diagonal(spin, 2), tensor_diagonal(3 / 2, 2))
+    assert np.array_equal(angular_momentum(np.int64(2))[2], angular_momentum(2)[2])
 
 
 _NON_INTEGER_INDICES = [

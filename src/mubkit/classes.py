@@ -226,7 +226,7 @@ def verify_set(s: OperatorSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     dev = float(max(_commutator_maxima(ops).max() for ops in a))
     results.append(CheckResult("within_class_commutation", dev, dev <= tol))
 
-    bases = np.array([b.matrix for b in s.family.bases])
+    bases = s.family.array
     want = s.coefficients.vectors[np.newaxis, :, np.newaxis, :] * bases[:, np.newaxis]
     got = (a.reshape(n, m * d, d) @ bases).reshape(n, m, d, d)
     dev = float(np.abs(got - want).max())

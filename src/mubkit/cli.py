@@ -515,10 +515,7 @@ def main(argv=None) -> int:
     except UnsupportedDimensionError as exc:
         _emit_error("unsupported", str(exc), dim=exc.dim)
         return EXIT_UNSUPPORTED
-    except _LoadError as exc:
-        _emit_error("io", str(exc))
-        return EXIT_IO
-    except OSError as exc:
+    except (_LoadError, OSError) as exc:
         _emit_error("io", str(exc))
         return EXIT_IO
     except ValueError as exc:

@@ -60,10 +60,12 @@ def root_of_unity(d: int, power: int = 1) -> complex:
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a finite 2-D complex128 array."""
+    """Coerce to a finite, non-empty 2-D complex128 array."""
     arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"matrix has no entries, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return arr
@@ -208,8 +210,8 @@ def _matrix_layout(rows: int, cols: int) -> str:
     """json.dumps(matrix_to_json(m), indent=2) for an r x c matrix, with one %r
     slot per real and imaginary part in row-major order."""
     cell = '      {\n        "re": %r,\n        "im": %r\n      }'
-    row = "    [\n" + ",\n".join([cell] * cols) + "\n    ]" if cols else "    []"
-    data = "[\n" + ",\n".join([row] * rows) + "\n  ]" if rows else "[]"
+    row = "    [\n" + ",\n".join([cell] * cols) + "\n    ]"
+    data = "[\n" + ",\n".join([row] * rows) + "\n  ]"
     return f'{{\n  "rows": {rows},\n  "cols": {cols},\n  "data": {data}\n}}'
 
 

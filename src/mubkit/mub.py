@@ -21,7 +21,8 @@ Basis convention: columns are the basis vectors; row index is m-descending
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,10 +113,16 @@ class Basis:
 
 @dataclass(frozen=True, eq=False)
 class MubFamily:
-    """d+1 bases intended to be pairwise unbiased (certified by check_family)."""
+    """d+1 bases intended to be pairwise unbiased (certified by check_family).
+
+    The basis matrices are stored once, as the read-only complex array
+    ``array[i]`` = matrix of basis i (family order); each basis's ``matrix``
+    is a view of it.
+    """
 
     dim: int
     bases: tuple[Basis, ...]
+    array: np.ndarray = field(init=False, repr=False)  # shape (d+1, d, d)
 
     def __post_init__(self):
         if self.dim < 2:
@@ -128,7 +135,13 @@ class MubFamily:
                 raise ValueError(f"basis {b.label!r} has dimension {b.dim}, expected {self.dim}")
             if b.label in self.labels[:i]:
                 raise ValueError(f"family repeats basis label {b.label}")
-        object.__setattr__(self, "bases", tuple(self.bases))
+        a = frozen([b.matrix for b in self.bases], np.complex128)
+        # Basis(...) would copy its row again: re-point shallow copies instead
+        bases = tuple(map(copy.copy, self.bases))
+        for b, m in zip(bases, a):
+            object.__setattr__(b, "matrix", m)
+        object.__setattr__(self, "array", a)
+        object.__setattr__(self, "bases", bases)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -287,7 +300,7 @@ def check_family(f: MubFamily, tol: float = DEFAULT_TOL) -> VerificationReport:
     tol = validate_tolerance(tol)
     n = len(f.bases)
     results = [CheckResult("member_count", float(abs(n - (f.dim + 1))), n == f.dim + 1)]
-    g, unbiased = _overlaps(np.array([b.matrix for b in f.bases]))
+    g, unbiased = _overlaps(f.array)
     # diagonal blocks are the Gram matrices, the upper triangle the distinct pairs
     worst_orth = float(np.abs(g[np.arange(n), np.arange(n)] - np.eye(f.dim)).max())
     results.append(CheckResult("orthonormality", worst_orth, worst_orth <= tol))

@@ -127,7 +127,7 @@ def probabilities(rho, family: MubFamily) -> MeasurementRecord:
     rho = as_matrix(rho)
     if rho.shape != (family.dim, family.dim):
         raise ValueError(f"dimension mismatch: state {rho.shape} vs family dim {family.dim}")
-    m = np.array([basis.matrix for basis in family.bases])
+    m = family.array
     # row b is the diagonal of B_b^dag rho B_b
     p = (m.conj() * (rho @ m)).sum(axis=1).real
     return MeasurementRecord(family.dim, family.labels, np.clip(p, 0.0, 1.0), None)

@@ -4,11 +4,15 @@ were recorded.
 
 A refactor of the constructors, of the stacked operator array or of the
 export writer that moves a single bit fails here. The hashes were recorded
-with numpy 2.4 and its bundled OpenBLAS 0.3.31 on x86-64. OpenBLAS picks its
-kernels by CPU, so on another machine or BLAS the operator GEMMs may round
-differently: then the operator hashes move while the family hashes, which
-involve no GEMM, still hold. The export hashes cover the printed and written
-verification reports, so they depend on BLAS too.
+with numpy 2.4 and its bundled OpenBLAS 0.3.31 on x86-64, whose runtime
+kernel there was SkylakeX (AVX-512). The family matrices, the operator
+arrays (elementwise sums of weighted projectors, no matrix product) and the
+tables output involve no GEMM: their hashes hold on the SkylakeX, Haswell,
+Sandybridge and Prescott kernels alike (OPENBLAS_CORETYPE=<kernel>). The
+export hashes cover the printed and written verification reports, whose
+worst_deviation values come from GEMMs, so they depend on the kernel:
+operators --dim 3, operators --dim 11 and mub --dim 11 --source generated
+fail on every kernel above but SkylakeX.
 """
 
 import contextlib

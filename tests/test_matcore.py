@@ -175,6 +175,17 @@ def test_write_matrix_non_contiguous(tmp_path, view):
     assert_written_as_json_dumps(tmp_path / "m.json", m)
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_empty_matrix_refused_and_no_file_written(tmp_path, shape):
+    # read_matrix refuses a file with no entries, so no writer makes one
+    path = tmp_path / "m.json"
+    with pytest.raises(ValueError, match="no entries"):
+        write_matrix(path, np.zeros(shape))
+    assert not path.exists()
+    with pytest.raises(ValueError, match="no entries"):
+        matrix_to_json(np.zeros(shape))
+
+
 def test_read_matrix_bad_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{broken", encoding="utf-8")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubkit.matcore import DEFAULT_TOL, max_abs, root_of_unity
 from mubkit.mub import (
@@ -21,6 +23,7 @@ from mubkit.mub import (
     unitary_between,
 )
 
+ALL_DIMS = (2, 3, 4, 5, 7, 11)
 GENERATED_DIMS = (3, 5, 7, 11, 13)
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 SUPPORTED_DIMS = (2, 3, 4, 5, 7, 11, 13, 17, 19, 23)
@@ -199,6 +202,80 @@ def test_family_validation_errors():
         Basis(3, np.eye(2))  # shape mismatch
     with pytest.raises(ValueError):
         Basis(2, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="no entries"):
+        Basis(0, np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("d", ALL_DIMS)
+def test_bases_are_read_only_views_of_one_array(d):
+    family = family_for(d)
+    a = family.array
+    assert a.shape == (d + 1, d, d)
+    assert a.dtype == np.complex128
+    assert not a.flags.writeable
+    for i, basis in enumerate(family.bases):
+        assert np.shares_memory(a, basis.matrix)
+        assert np.shares_memory(a[i], basis.matrix)
+    with pytest.raises(ValueError):
+        family.array[1, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        family.bases[-1].matrix[0, 1] += 1.0
+
+
+@pytest.mark.parametrize("d", ALL_DIMS)
+def test_family_array_holds_the_callers_matrices_in_order(d):
+    # bases passed in reverse order keep that order, and a later write to the
+    # caller's matrices leaves the family as built
+    mats = [b.matrix.copy() for b in family_for(d).bases][::-1]
+    labels = tuple(f"B{i + 1}" for i in range(d + 1))[::-1]
+    family = MubFamily(d, tuple(Basis(d, m, label) for m, label in zip(mats, labels)))
+    assert family.labels == labels
+    want = [m.copy() for m in mats]
+    for m in mats:
+        m[0, 0] += 1.0
+    for i, m in enumerate(want):
+        assert np.array_equal(family.array[i], m)
+        assert np.array_equal(family.bases[i].matrix, m)
+
+
+@pytest.mark.parametrize("d", ALL_DIMS)
+def test_tampered_basis_shows_in_array_and_fails(d):
+    family = family_for(d)
+    index = d // 2
+    bad = perturbed(family, index, 0, d - 1, 1e-3)
+    assert np.array_equal(bad.array[index], bad.bases[index].matrix)
+    assert bad.array[index, 0, d - 1] == family.array[index, 0, d - 1] + 1e-3
+    assert np.array_equal(np.delete(bad.array, index, axis=0),
+                          np.delete(family.array, index, axis=0))
+    assert check_family(family).passed
+    assert not check_family(bad).passed
+
+
+def transformed(family, seed):
+    """U B_b diag(e^{i phi_b}) for every basis b, with U from the QR of a
+    Ginibre matrix: a global unitary and per-column phases."""
+    d = family.dim
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    phases = np.exp(2j * np.pi * rng.random((d + 1, d)))
+    return MubFamily(d, tuple(Basis(d, u @ b.matrix * phi, b.label)
+                              for b, phi in zip(family.bases, phases)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from((2, 3, 4, 5, 7, 11, 13)), st.integers(0, 2 ** 32 - 1))
+def test_check_family_invariant_under_unitary_and_column_phases(d, seed):
+    # orthonormality and unbiasedness are invariant under B_b -> U B_b D_b
+    # (Durt, Englert, Bengtsson & Zyczkowski, arXiv:1004.3348)
+    family = family_for(d)
+    index, row, col = np.random.default_rng(seed).integers(d + 1), seed % d, seed // d % d
+    bad = perturbed(family, index, row, col, 1e-3)
+    for f, passes in ((family, True), (bad, False)):
+        before, after = check_family(f), check_family(transformed(f, seed))
+        assert before.passed == after.passed == passes
+        for x, y in zip(before, after, strict=True):
+            assert (x.check, x.passed) == (y.check, y.passed)
+            assert abs(x.worst_deviation - y.worst_deviation) <= 1e-12
 
 
 def test_family_refuses_repeated_label():

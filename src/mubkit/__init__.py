@@ -1,124 +1,16 @@
-"""Mutually unbiased bases, commuting operator classes, and tomography."""
+"""Mutually unbiased bases, commuting operator classes, and tomography.
 
-from .matcore import (
-    DEFAULT_TOL,
-    CheckResult,
-    VerificationReport,
-    matrix_from_json,
-    matrix_to_json,
-    read_matrix,
-    root_of_unity,
-    write_matrix,
-)
-from .mub import (
-    BUILTIN_DIMS,
-    Basis,
-    BasisTransform,
-    MubFamily,
-    UnsupportedDimensionError,
-    builtin_family,
-    canonical_basis,
-    check_family,
-    check_unbiased,
-    family_for,
-    fourier_basis,
-    odd_prime_family,
-    one_axis_twist,
-    unitary_between,
-)
-from .classes import (
-    CoefficientVectors,
-    CommutingClass,
-    OperatorSet,
-    build_class,
-    build_set,
-    coefficient_vectors,
-    conjugate_class,
-    verify_set,
-)
-from .tensors import (
-    angular_momentum,
-    clebsch_gordan,
-    rank3_tensor_polynomial,
-    spherical_tensor,
-    tensor_diagonal,
-    weyl_tensor,
-)
-from .tomography import (
-    MeasurementRecord,
-    ReconstructionReport,
-    coefficients,
-    coefficients_from_probabilities,
-    derive_seed,
-    fidelity,
-    probabilities,
-    project_psd,
-    random_density,
-    read_record,
-    reconstruct,
-    reconstruct_from_record,
-    record_from_json,
-    record_to_json,
-    sample_shots,
-    trace_distance,
-    write_record,
-)
+The package publishes exactly the names in each submodule's ``__all__``.
+"""
+
+from . import matcore, mub, classes, tensors, tomography
+from .matcore import *
+from .mub import *
+from .classes import *
+from .tensors import *
+from .tomography import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_TOL",
-    "CheckResult",
-    "VerificationReport",
-    "matrix_from_json",
-    "matrix_to_json",
-    "read_matrix",
-    "write_matrix",
-    "root_of_unity",
-    "BUILTIN_DIMS",
-    "Basis",
-    "BasisTransform",
-    "MubFamily",
-    "UnsupportedDimensionError",
-    "builtin_family",
-    "canonical_basis",
-    "check_family",
-    "check_unbiased",
-    "family_for",
-    "fourier_basis",
-    "odd_prime_family",
-    "one_axis_twist",
-    "unitary_between",
-    "CoefficientVectors",
-    "CommutingClass",
-    "OperatorSet",
-    "build_class",
-    "build_set",
-    "coefficient_vectors",
-    "conjugate_class",
-    "verify_set",
-    "angular_momentum",
-    "clebsch_gordan",
-    "rank3_tensor_polynomial",
-    "spherical_tensor",
-    "tensor_diagonal",
-    "weyl_tensor",
-    "MeasurementRecord",
-    "ReconstructionReport",
-    "coefficients",
-    "coefficients_from_probabilities",
-    "derive_seed",
-    "fidelity",
-    "probabilities",
-    "project_psd",
-    "random_density",
-    "read_record",
-    "reconstruct",
-    "reconstruct_from_record",
-    "record_from_json",
-    "record_to_json",
-    "sample_shots",
-    "trace_distance",
-    "write_record",
-    "__version__",
-]
+__all__ = [*matcore.__all__, *mub.__all__, *classes.__all__, *tensors.__all__,
+           *tomography.__all__, "__version__"]

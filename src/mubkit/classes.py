@@ -26,7 +26,7 @@ from .matcore import (
     frozen,
     validate_tolerance,
 )
-from .mub import Basis, BasisTransform, MubFamily, check_family
+from .mub import MAX_DIM, Basis, BasisTransform, MubFamily, check_family
 from .tensors import tensor_diagonal
 
 __all__ = [
@@ -39,11 +39,6 @@ __all__ = [
     "conjugate_class",
     "verify_set",
 ]
-
-# The exact integer recurrence underneath tensor_diagonal is comfortable far
-# beyond this, but 26 (= spin 25/2) is the stated support ceiling, so larger
-# requests are refused rather than silently accepted.
-MAX_DIM = 26
 
 # cross-class pairs must contain at least one visibly non-commuting pair;
 # in practice the witness is O(1), so the floor is generous
@@ -93,6 +88,9 @@ class OperatorSet:
         d = self.dim
         if self.family.dim != d:
             raise ValueError(f"family dimension {self.family.dim} does not match set dimension {d}")
+        if self.coefficients.dim != d:
+            raise ValueError(f"coefficient dimension {self.coefficients.dim} does not match "
+                             f"set dimension {d}")
         if len(self.classes) != d + 1:
             raise ValueError(f"an operator set in dimension {d} needs {d + 1} classes, "
                              f"got {len(self.classes)}")

@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .classes import (
-    MAX_DIM,
     CommutingClass,
     OperatorSet,
     build_set,
@@ -35,6 +34,7 @@ from .classes import (
 )
 from .matcore import (
     DEFAULT_TOL,
+    VerificationReport,
     json_int,
     read_json,
     read_matrix,
@@ -45,6 +45,7 @@ from .matcore import (
 )
 from .mub import (
     BUILTIN_DIMS,
+    MAX_DIM,
     Basis,
     MubFamily,
     UnsupportedDimensionError,
@@ -354,19 +355,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
     src = Path(getattr(args, "in"))
     family = _read_family(src)
-    results = list(check_family(family, tol))
+    results = check_family(family, tol).results
     if (src / _OPERATORS_FILE).exists():
-        opset = _read_operator_set(src, family)
-        results += list(verify_set(opset, tol))
-    passed = all(r.passed for r in results)
+        results += verify_set(_read_operator_set(src, family), tol).results
+    report = VerificationReport(results)
     _emit({
         "command": "verify",
         "dim": family.dim,
         "tolerance": tol,
-        "checks": [r.to_dict() for r in results],
-        "pass": passed,
+        "checks": report.to_dicts(),
+        "pass": report.passed,
     })
-    return EXIT_PASS if passed else EXIT_FAIL
+    return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def _tensor_filename(k: int, q: int) -> str:

@@ -28,17 +28,10 @@ __all__ = [
     "DEFAULT_TOL",
     "CheckResult",
     "VerificationReport",
-    "as_matrix",
-    "frozen",
-    "json_int",
     "matrix_from_json",
     "matrix_to_json",
-    "max_abs",
-    "read_json",
     "read_matrix",
     "root_of_unity",
-    "validate_tolerance",
-    "write_json",
     "write_matrix",
 ]
 

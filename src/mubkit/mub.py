@@ -37,6 +37,7 @@ from .matcore import (
 )
 
 __all__ = [
+    "BUILTIN_DIMS",
     "Basis",
     "BasisTransform",
     "MubFamily",
@@ -53,6 +54,11 @@ __all__ = [
 ]
 
 BUILTIN_DIMS = (2, 3, 4, 5)
+
+# The exact integer recurrence underneath tensor_diagonal is comfortable far
+# beyond this, but 26 (= spin 25/2) is the stated support ceiling, so larger
+# requests are refused rather than silently accepted.
+MAX_DIM = 26
 
 
 class UnsupportedDimensionError(ValueError):
@@ -262,15 +268,15 @@ def builtin_family(d: int) -> MubFamily:
 
 def family_for(d: int) -> MubFamily:
     """The complete family for d: the built-in tables for d in BUILTIN_DIMS,
-    else the quadratic-phase family for odd prime d.
+    else the quadratic-phase family for odd prime d <= MAX_DIM.
     """
     if d in BUILTIN_DIMS:
         return builtin_family(d)
-    if _is_odd_prime(d):
+    if _is_odd_prime(d) and d <= MAX_DIM:
         return odd_prime_family(d)
     raise _refuse(
         d, "operator construction needs a complete MUB family; available"
-        f" sources cover dimensions {BUILTIN_DIMS} and odd primes")
+        f" sources cover dimensions {BUILTIN_DIMS} and odd primes up to {MAX_DIM}")
 
 
 # ---------------------------------------------------------------------------

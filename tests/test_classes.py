@@ -208,6 +208,12 @@ def test_set_owns_its_array():
     assert np.array_equal(s.array, opset.array)
 
 
+def test_set_refuses_coefficients_of_another_dimension():
+    opset = build_set(builtin_family(3))
+    with pytest.raises(ValueError, match="coefficient dimension 4 does not match set dimension 3"):
+        OperatorSet(3, opset.classes, opset.family, coefficient_vectors(4))
+
+
 @pytest.mark.parametrize("tamper", [identity_replacement, duplicate_operator,
                                     non_hermitian_perturbation])
 def test_tampering_through_constructors_shows_in_array(tamper):

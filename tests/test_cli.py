@@ -340,6 +340,14 @@ def test_operators_dimension_six_refused(capsys):
     assert "no complete MUB family known" in data["message"]
 
 
+def test_operators_refuses_odd_prime_above_ceiling(capsys):
+    # the family is refused before it is built, with the same payload as d = 27
+    code, data = run_json(capsys, "operators", "--dim", "29")
+    assert code == EXIT_UNSUPPORTED
+    assert data["error"] == "unsupported"
+    assert data["dim"] == 29
+
+
 def test_tensors_export(tmp_path, capsys):
     out = tmp_path / "tens"
     code, data = run_json(capsys, "tensors", "--two-j", "2", "--out", str(out))

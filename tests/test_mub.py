@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mubkit.matcore import DEFAULT_TOL, max_abs, root_of_unity
 from mubkit.mub import (
     BUILTIN_DIMS,
+    MAX_DIM,
     Basis,
     BasisTransform,
     MubFamily,
@@ -383,10 +384,12 @@ def test_family_for_picks_builtin_tables_then_odd_primes(d):
     assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(got.bases, want.bases))
 
 
-@pytest.mark.parametrize("d", [1, 6, 8, 9, 15])
+@pytest.mark.parametrize("d", [1, 6, 8, 9, 15, 29, 31])
 def test_family_for_refuses_other_dimensions(d):
     with pytest.raises(UnsupportedDimensionError) as info:
         family_for(d)
     assert info.value.dim == d
     if d == 6:
         assert "no complete MUB family known for dimension 6" in str(info.value)
+    if d > MAX_DIM:
+        assert f"odd primes up to {MAX_DIM}" in str(info.value)

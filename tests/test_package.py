@@ -1,5 +1,6 @@
 """Package hygiene, checked with the stdlib only: every name a module exports
-exists, and every module-level import in src/mubkit is used."""
+exists, the package publishes each one once, and every module-level import
+in src/mubkit is used."""
 
 import ast
 import importlib
@@ -32,3 +33,16 @@ def test_every_module_level_import_is_used(module):
                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)
                 for n in node.value.elts}
     assert sorted(imported - used - exported) == []
+
+
+def test_package_publishes_each_submodule_name_once():
+    # the package star-imports its submodules, so a name in two __all__ lists
+    # would be silently shadowed by the later module
+    import mubkit
+    modules = [importlib.import_module(f"mubkit.{m}") for m in MODULES]
+    published = [n for module in modules for n in getattr(module, "__all__", ())]
+    assert sorted({n for n in published if published.count(n) > 1}) == []
+    assert set(mubkit.__all__) == set(published) | {"__version__"}
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert getattr(mubkit, name) is getattr(module, name), f"mubkit.{name}"

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubkit.classes import build_set
 from mubkit.matcore import max_abs
@@ -309,6 +311,24 @@ def test_record_json_round_trip(tmp_path):
     again = read_record(path)
     assert np.array_equal(again.probs, record.probs)
     assert (again.dim, again.labels, again.shots) == (3, record.labels, 1000)
+
+
+@settings(deadline=None)
+@given(st.sampled_from((2, 3, 4, 5, 7, 11, 13, 17, 19, 23)), st.integers(),
+       st.integers(0, 2 ** 64 - 1), st.integers(1, 10 ** 6))
+def test_sampled_records_are_valid_and_round_trip_bit_exact(tmp_path_factory, d, state_seed,
+                                                            shot_seed, n):
+    exact = probabilities(random_density(d, state_seed), family_for(d))
+    sampled = sample_shots(exact, n, shot_seed)
+    counts = np.rint(sampled.probs * n)
+    assert np.array_equal(counts / n, sampled.probs)
+    assert np.array_equal(counts.sum(axis=1), np.full(d + 1, n))
+    path = tmp_path_factory.getbasetemp() / "round_trip_record.json"
+    for record in (exact, sampled):
+        write_record(path, record)
+        back = read_record(path)
+        assert back.probs.tobytes() == record.probs.tobytes()
+        assert (back.labels, back.dim, back.shots) == (record.labels, record.dim, record.shots)
 
 
 def test_record_from_json_rejects_malformed():

@@ -10,8 +10,10 @@ check each other:
   coefficient vectors (a_k^(b) = sum_i c[k][i] p_i^(b)).
 
 Either way, rho = (1/d)(I + sum_i a_i A_i). Sampling is multinomial with
-one independent PCG64 stream per basis derived from (seed, basis index),
-so records are reproducible regardless of evaluation order.
+one independent PCG64 stream per basis derived from (seed, basis index), so
+records are reproducible regardless of evaluation order: a sampled record
+depends only on the exact probabilities, on the shot count n, and on
+(seed mod 2**64, basis index).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import CoefficientVectors, OperatorSet
-from .matcore import as_matrix, frozen, json_int, read_json, write_json
+from .matcore import _json_number, as_matrix, frozen, json_int, read_json, write_json
 from .mub import MubFamily
 
 __all__ = [
@@ -45,6 +47,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_MAX_SHOTS = 2 ** 63 - 1  # numpy's multinomial takes an int64 count
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,9 +68,11 @@ class MeasurementRecord:
         if p.ndim != 2 or p.shape[1] != self.dim or p.shape[0] != len(self.labels):
             raise ValueError(f"probability array shape {p.shape} does not match "
                              f"{len(self.labels)} bases of dimension {self.dim}")
-        if not np.isfinite(p).all():
+        # one pass each; NaN propagates into both; initial=0.0 admits an empty array
+        lo, hi = p.min(initial=0.0), p.max(initial=0.0)
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("probabilities must be finite")
-        if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
+        if lo < -1e-12 or hi > 1 + 1e-12:
             raise ValueError("probabilities must lie in [0, 1]")
         if np.abs(p.sum(axis=1) - 1.0).max() > 1e-9:
             raise ValueError("each basis distribution must sum to 1")
@@ -118,8 +123,10 @@ def reconstruct(coeffs, s: OperatorSet) -> np.ndarray:
     a = np.asarray(coeffs, dtype=np.float64).ravel()
     if a.size != len(s):
         raise ValueError(f"expected {len(s)} coefficients, got {a.size}")
-    flat = s.array.reshape(-1, s.dim, s.dim)
-    return (np.eye(s.dim) + np.tensordot(a, flat, 1)) / s.dim
+    d = s.dim
+    # one (1, n) @ (n, d*d) product, the same one tensordot(a, flat, 1) makes
+    total = np.dot(a[np.newaxis], s.array.reshape(len(s), d * d)).reshape(d, d)
+    return (np.eye(d) + total) / d
 
 
 def probabilities(rho, family: MubFamily) -> MeasurementRecord:
@@ -148,8 +155,19 @@ def coefficients_from_probabilities(record: MeasurementRecord,
 # sampling and metrics
 
 def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
-    # the package's one seed derivation: any integer seed, reduced mod 2**64
-    return np.random.SeedSequence([int(seed) & _MASK64, *key])
+    # The package's one seed derivation: any integer seed, reduced mod 2**64,
+    # then non-negative integer keys. The uint32 words are the ones SeedSequence
+    # makes from the list [seed & mask, *key] (each int split into 32-bit
+    # words, low word first, at least one), so the pool is the same.
+    words = []
+    for value in (json_int(seed, "seed") & _MASK64, *key):
+        value = json_int(value, "seed key")
+        if value < 0:  # checked first: the loop below never ends on a negative int
+            raise ValueError(f"seed key must be non-negative, got {value}")
+        words.append(value & 0xFFFFFFFF)
+        while value := value >> 32:
+            words.append(value & 0xFFFFFFFF)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 def derive_seed(seed: int, *key: int) -> int:
@@ -159,26 +177,24 @@ def derive_seed(seed: int, *key: int) -> int:
 
 def _stream(seed: int, index: int) -> np.random.Generator:
     # one independent, platform-stable stream per (seed, basis index)
-    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, int(index))))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, index)))
 
 
 def sample_shots(record: MeasurementRecord, n: int, seed: int) -> MeasurementRecord:
     """Replace each exact distribution by frequencies of n multinomial draws.
 
-    Requires an exact record (shots is None) and n >= 1; deterministic in
-    (seed, basis index), so bases may be sampled in any order.
+    Requires an exact record (shots is None) and an integer 1 <= n < 2**63;
+    deterministic in (seed, basis index), so bases may be sampled in any order.
     """
     if record.shots is not None:
         raise ValueError("record is already sampled; start from an exact record")
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"shot count must be >= 1, got {n}")
-    rows = []
-    for b, p in enumerate(record.probs):
-        p = np.clip(p, 0.0, None)
-        counts = _stream(seed, b).multinomial(n, p / p.sum())
-        rows.append(counts / float(n))
-    return MeasurementRecord(record.dim, record.labels, np.array(rows), n)
+    n = json_int(n, "shot count")
+    if not 1 <= n <= _MAX_SHOTS:
+        raise ValueError(f"shot count must satisfy 1 <= n <= 2**63 - 1, got {n}")
+    p = np.clip(record.probs, 0.0, None)
+    p = p / p.sum(axis=1, keepdims=True)
+    counts = np.array([_stream(seed, b).multinomial(n, row) for b, row in enumerate(p)])
+    return MeasurementRecord(record.dim, record.labels, counts / float(n), n)
 
 
 def random_density(d: int, seed: int) -> np.ndarray:
@@ -197,11 +213,15 @@ def trace_distance(a, b) -> float:
     b = as_matrix(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return _trace_distance(a, b)
+
+
+def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.linalg.svd(a - b, compute_uv=False).sum())
 
 
-def _purity(rho: np.ndarray) -> float:
-    return float(np.trace(rho @ rho).real)
+def _is_pure(rho: np.ndarray) -> bool:
+    return abs(float(np.trace(rho @ rho).real) - 1.0) <= 1e-8
 
 
 def _reference_state(reference, d: int) -> np.ndarray:
@@ -227,8 +247,12 @@ def fidelity(rho, reference) -> float:
     """
     rho = as_matrix(rho)
     ref = _reference_state(reference, rho.shape[0])
-    if abs(_purity(ref) - 1.0) > 1e-8:
+    if not _is_pure(ref):
         raise ValueError("reference is not pure; use trace_distance for mixed states")
+    return _fidelity(rho, ref)
+
+
+def _fidelity(rho: np.ndarray, ref: np.ndarray) -> float:
     return float(np.trace(rho @ ref).real)
 
 
@@ -265,10 +289,10 @@ def reconstruct_from_record(record: MeasurementRecord, s: OperatorSet,
         estimate = project_psd(estimate)
     td = fid = None
     if reference is not None:
-        reference = _reference_state(reference, s.dim)
-        td = trace_distance(estimate, reference)
-        if abs(_purity(reference) - 1.0) <= 1e-8:
-            fid = fidelity(estimate, reference)
+        ref = _reference_state(reference, s.dim)
+        td = _trace_distance(estimate, ref)
+        if _is_pure(ref):
+            fid = _fidelity(estimate, ref)
     return ReconstructionReport(estimate, td, fid, record.shots, bool(project))
 
 
@@ -284,13 +308,21 @@ def record_to_json(record: MeasurementRecord) -> dict:
     }
 
 
+def _label(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"basis label must be a string, got {value!r}")
+    return value
+
+
 def record_from_json(obj) -> MeasurementRecord:
+    """Every probability must be a JSON number, as in matrix_from_json: strings
+    and bools are refused, and so are labels that are not strings."""
     try:
         bases = obj["bases"]
-        labels = tuple(str(b["label"]) for b in bases)
-        probs = np.array([[float(x) for x in b["p"]] for b in bases])
+        labels = tuple(_label(b["label"]) for b in bases)
+        probs = np.array([[_json_number(x) for x in b["p"]] for b in bases])
         return MeasurementRecord(obj["dim"], labels, probs, obj["shots"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed measurement record: {exc}") from exc
 
 

@@ -461,6 +461,10 @@ def test_tomo_invalid_shots(capsys):
     assert code == EXIT_UNSUPPORTED
     code, data = run_json(capsys, "tomo", "--dim", "3", "--shots", "-5")
     assert code == EXIT_UNSUPPORTED
+    # beyond numpy's int64 count: the structured refusal, not an OverflowError
+    code, data = run_json(capsys, "tomo", "--dim", "3", "--shots", str(10 ** 20), "--trials", "1")
+    assert code == EXIT_UNSUPPORTED
+    assert data["error"] == "invalid" and "2**63 - 1" in data["message"]
 
 
 def test_tomo_dimension_six_refused(capsys):

@@ -1,5 +1,6 @@
 """Tests for state reconstruction from MUB measurement statistics."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -28,8 +29,11 @@ from mubkit.tomography import (
     trace_distance,
     write_record,
 )
+from mubkit.tomography import _seed_sequence
 
 ALL_DIMS = (2, 3, 4, 5, 7)
+SUPPORTED_DIMS = (2, 3, 4, 5, 7, 11, 13, 17, 19, 23)  # every supported d <= 23
+MASK64 = (1 << 64) - 1
 
 
 @pytest.mark.parametrize("d", ALL_DIMS)
@@ -150,6 +154,28 @@ def test_sample_shots_validates_count():
     record = probabilities(random_density(2, 0), family)
     with pytest.raises(ValueError):
         sample_shots(record, 0, seed=0)
+    # no truncation to an integer, and nothing beyond numpy's int64 count
+    for n in (2.7, True, 1000.0, "1000", None):
+        with pytest.raises(ValueError, match="shot count must be an integer"):
+            sample_shots(record, n, seed=0)
+    with pytest.raises(ValueError, match="2\\*\\*63 - 1"):
+        sample_shots(record, 2 ** 63, seed=0)
+    assert sample_shots(record, 2 ** 63 - 1, seed=0).shots == 2 ** 63 - 1
+    assert sample_shots(record, np.int64(7), seed=0).shots == 7
+
+
+def test_seeds_must_be_integers():
+    record = probabilities(random_density(2, 0), builtin_family(2))
+    for seed in (1.9, 1.0, True, "1", None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            derive_seed(seed, 0)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            random_density(2, seed)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample_shots(record, 10, seed)
+    # negative seeds and seeds >= 2**64 keep reducing mod 2**64
+    assert derive_seed(-1, 0) == derive_seed(MASK64, 0)
+    assert derive_seed(2 ** 64 + 5, 0) == derive_seed(5, 0) == derive_seed(np.uint64(5), 0)
 
 
 def test_trace_distance_known_values():
@@ -314,7 +340,7 @@ def test_record_json_round_trip(tmp_path):
 
 
 @settings(deadline=None)
-@given(st.sampled_from((2, 3, 4, 5, 7, 11, 13, 17, 19, 23)), st.integers(),
+@given(st.sampled_from(SUPPORTED_DIMS), st.integers(),
        st.integers(0, 2 ** 64 - 1), st.integers(1, 10 ** 6))
 def test_sampled_records_are_valid_and_round_trip_bit_exact(tmp_path_factory, d, state_seed,
                                                             shot_seed, n):
@@ -345,6 +371,16 @@ def test_record_from_json_rejects_malformed():
         bad = json.loads(json.dumps(data))
         bad[field] = value
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            record_from_json(bad)
+    # entries follow matrix_from_json's number rule, and labels must be strings
+    for where, value in (("p", "0.5"), ("p", True), ("p", None), ("p", 10 ** 400),
+                         ("label", 7), ("label", None), ("label", ["B1"])):
+        bad = json.loads(json.dumps(data))
+        if where == "p":
+            bad["bases"][0]["p"][0] = value
+        else:
+            bad["bases"][0]["label"] = value
+        with pytest.raises(ValueError, match="malformed measurement record: "):
             record_from_json(bad)
     del data["bases"][0]["p"]
     with pytest.raises(ValueError):
@@ -378,3 +414,83 @@ def test_reconstruction_rejects_record_with_foreign_basis_order(relabel):
     labels, probs = relabel(record.labels, record.probs)
     with pytest.raises(ValueError, match="do not match"):
         reconstruct_from_record(MeasurementRecord(3, labels, probs), opset)
+
+
+@settings(deadline=None)
+@given(st.integers(-2 ** 70, 2 ** 70), st.lists(st.integers(0, 2 ** 70 - 1), max_size=3))
+def test_seed_sequence_pool_matches_the_list_form(seed, key):
+    want = np.random.SeedSequence([seed & MASK64, *key]).pool
+    assert np.array_equal(_seed_sequence(seed, *key).pool, want)
+
+
+def test_seed_keys_must_be_non_negative_integers():
+    with pytest.raises(ValueError, match="non-negative"):
+        derive_seed(0, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        derive_seed(0, 3, -2 ** 40)
+    with pytest.raises(ValueError, match="seed key must be an integer"):
+        derive_seed(0, 1.5)
+
+
+# Pinned sampling. A record depends only on the exact probabilities, on n and
+# on (seed mod 2**64, basis index); these digests hold it to the bytes the
+# parent implementation sampled. The rows are dyadic (k / 1024, summing to
+# exactly 1) and no matrix product is involved, so the digests do not depend
+# on the BLAS kernel.
+PIN_SEEDS = (0, 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64 + 5, -1)
+SAMPLE_PINS = {
+    2: "cfba344ed6af0afd0fa55b23785f8891a43a3fd1d51e1129e3b4cb8377d6fb92",
+    3: "42cd1a7231be064606d5ada31457fbd067b8051572614a3af9e76ba8df385836",
+    4: "f27bac418a9371e9db7e8d7ee46e94616d4cfe9c084956eb2430c0c5879ee360",
+    5: "8c4a91076244e49df66989cd704532b71f9573a6f5565fe71838134a41734568",
+    7: "0a45aaa618f5f354c58916d4d2cac5f4606fa0934d8cbcb7a14d79f57b73b5bf",
+    11: "3abc4b2778fdb5bc8f35e60575459e5b5598e1e924c6b6f066030fd324ffae20",
+    13: "d7cca0f690ea72f4005035efaddda0e6ae06aec7f7d239c1da832d1fcb7e99c8",
+    23: "4e146313ccf1c60771de67547a799113e72fb1112154d9cedbf89d5fffa4701f",
+}
+# seed: derive_seed(seed, *key) for the keys (0,), (3, 1) and (2**40,)
+DERIVE_PINS = {
+    0: (15793235383387715774, 4245091184500617293, 4046324455346189379),
+    1: (7434755675892716031, 17001506023429570679, 2648639702266984948),
+    2 ** 32: (5836529245451711556, 9865651986321309836, 15072961098575185552),
+    2 ** 64 - 1: (12591116029944179981, 1907199784401707484, 1764645679410443479),
+    2 ** 64 + 5: (12631478326263854183, 471450922708169230, 15140673199806763723),
+    -1: (12591116029944179981, 1907199784401707484, 1764645679410443479),
+}
+
+
+def dyadic_record(d):
+    unit = 1024 // (8 * d)
+    rows = []
+    for b in range(d + 1):
+        counts = [((3 * b + 5 * i) % 7) * unit for i in range(d - 1)]
+        rows.append(counts + [1024 - sum(counts)])
+    return MeasurementRecord(d, tuple(f"B{b + 1}" for b in range(d + 1)),
+                             np.array(rows) / 1024)
+
+
+@pytest.mark.parametrize("d", sorted(SAMPLE_PINS))
+def test_sampled_records_are_pinned(d):
+    record = dyadic_record(d)
+    assert np.array_equal(record.probs.sum(axis=1), np.ones(d + 1))
+    digest = hashlib.sha256()
+    for seed in PIN_SEEDS:
+        for n in (1, 1000):
+            digest.update(sample_shots(record, n, seed).probs.tobytes())
+    assert digest.hexdigest() == SAMPLE_PINS[d]
+
+
+def test_derived_seeds_are_pinned():
+    for seed, want in DERIVE_PINS.items():
+        assert tuple(derive_seed(seed, *key) for key in ((0,), (3, 1), (2 ** 40,))) == want
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMS)
+def test_exact_records_satisfy_the_purity_identity(d):
+    """sum_b sum_i (p_i^b)**2 = 1 + Tr rho**2 for d+1 MUBs (Wootters & Fields 1989)."""
+    family = family_for(d)
+    for seed in range(5):
+        rho = random_density(d, seed)
+        purity = float(np.trace(rho @ rho).real)
+        total = float((probabilities(rho, family).probs ** 2).sum())
+        assert abs(total - (1.0 + purity)) < 1e-12

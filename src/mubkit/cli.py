@@ -36,6 +36,7 @@ from .matcore import (
     DEFAULT_TOL,
     VerificationReport,
     json_int,
+    json_str,
     read_json,
     read_matrix,
     root_of_unity,
@@ -61,6 +62,7 @@ from .tomography import (
     random_density,
     reconstruct_from_record,
     sample_shots,
+    shot_count,
 )
 
 EXIT_PASS = 0
@@ -182,9 +184,9 @@ def _read_matrices(src: Path, names: list[str], dim: int) -> list[np.ndarray]:
 
 def _read_family(src: Path) -> MubFamily:
     dim, labels = _read_manifest(src, _FAMILY_FILE, "bases", "family")
-    labels = [str(label) for label in labels]
-    matrices = _read_matrices(src, [_basis_filename(label) for label in labels], dim)
     try:
+        labels = [json_str(label, "basis label") for label in labels]
+        matrices = _read_matrices(src, [_basis_filename(label) for label in labels], dim)
         return MubFamily(dim, tuple(Basis(dim, m, label) for m, label in zip(matrices, labels)))
     except ValueError as exc:
         raise _LoadError(str(exc))
@@ -200,8 +202,9 @@ def _read_operator_set(src: Path, family: MubFamily) -> OperatorSet:
     classes = []
     for entry in entries:
         try:
-            label = str(entry["basis_label"])
-            names = [str(n) for n in _json_list(entry["operators"], "operators")]
+            label = json_str(entry["basis_label"], "basis_label")
+            names = [json_str(n, "operator file name")
+                     for n in _json_list(entry["operators"], "operators")]
         except (KeyError, TypeError, ValueError) as exc:
             raise _LoadError(f"malformed operator manifest entry: {exc!r}")
         if label not in by_label:
@@ -301,6 +304,19 @@ def _print_tables(stream) -> None:
 # subcommands
 
 
+def _emit_report(command: str, dim: int, fields: dict, tol: float,
+                 report: VerificationReport, out=None, files=None) -> int:
+    """Print a check report as command, dim, the command's own fields,
+    tolerance, checks and pass, then out and files for an export; the exit
+    code for the report."""
+    payload = {"command": command, "dim": dim, **fields, "tolerance": tol,
+               "checks": report.to_dicts(), "pass": report.passed}
+    if files is not None:
+        payload.update(out=str(out), files=files)
+    _emit(payload)
+    return EXIT_PASS if report.passed else EXIT_FAIL
+
+
 def cmd_mub(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
     if args.source == "builtin":
@@ -308,21 +324,9 @@ def cmd_mub(args: argparse.Namespace) -> int:
     else:
         family = odd_prime_family(args.dim)
     report = check_family(family, tol)
-    payload = {
-        "command": "mub",
-        "dim": family.dim,
-        "source": args.source,
-        "bases": list(family.labels),
-        "tolerance": tol,
-        "checks": report.to_dicts(),
-        "pass": report.passed,
-    }
-    if args.out is not None:
-        files = _write_family(Path(args.out), family)
-        payload["out"] = str(args.out)
-        payload["files"] = files
-    _emit(payload)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    files = None if args.out is None else _write_family(Path(args.out), family)
+    return _emit_report("mub", family.dim, {"source": args.source, "bases": list(family.labels)},
+                        tol, report, args.out, files)
 
 
 def cmd_operators(args: argparse.Namespace) -> int:
@@ -330,25 +334,14 @@ def cmd_operators(args: argparse.Namespace) -> int:
     family = family_for(args.dim)
     opset = build_set(family, tol)
     report = verify_set(opset, tol)
-    payload = {
-        "command": "operators",
-        "dim": opset.dim,
-        "operator_count": len(opset),
-        "classes": [cls.basis_label for cls in opset.classes],
-        "tolerance": tol,
-        "checks": report.to_dicts(),
-        "pass": report.passed,
-    }
+    files = None
     if args.out is not None:
         out = Path(args.out)
-        files = _write_operator_set(out, opset)
-        files += _write_family(out, family)
+        files = _write_operator_set(out, opset) + _write_family(out, family)
         write_json(out / _REPORT_FILE, report.to_dicts())
         files.append(_REPORT_FILE)
-        payload["out"] = str(args.out)
-        payload["files"] = files
-    _emit(payload)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    fields = {"operator_count": len(opset), "classes": [cls.basis_label for cls in opset.classes]}
+    return _emit_report("operators", opset.dim, fields, tol, report, args.out, files)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -358,15 +351,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     results = check_family(family, tol).results
     if (src / _OPERATORS_FILE).exists():
         results += verify_set(_read_operator_set(src, family), tol).results
-    report = VerificationReport(results)
-    _emit({
-        "command": "verify",
-        "dim": family.dim,
-        "tolerance": tol,
-        "checks": report.to_dicts(),
-        "pass": report.passed,
-    })
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return _emit_report("verify", family.dim, {}, tol, VerificationReport(results))
 
 
 def _tensor_filename(k: int, q: int) -> str:
@@ -412,8 +397,7 @@ def cmd_tomo(args: argparse.Namespace) -> int:
             shots = int(args.shots)
         except ValueError:
             raise ValueError(f"--shots must be an integer or 'exact': {args.shots!r}")
-        if shots < 1:
-            raise ValueError("--shots must be positive")
+        shots = shot_count(shots)  # checked here, so --trials 0 refuses what a trial would
     family = family_for(args.dim)
     opset = build_set(family)
     results = []
@@ -511,10 +495,24 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        code = _run(args)
+        sys.stdout.flush()  # so a closed stdout shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader has gone: write nothing more to stdout, not even at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
+    return code
+
+
+def _run(args: argparse.Namespace) -> int:
+    """args.func(args); each refusal is printed as an error payload and mapped to its exit code."""
+    try:
         return args.func(args)
     except UnsupportedDimensionError as exc:
         _emit_error("unsupported", str(exc), dim=exc.dim)
         return EXIT_UNSUPPORTED
+    except BrokenPipeError:
+        raise  # an OSError of stdout itself, handled by main
     except (_LoadError, OSError) as exc:
         _emit_error("io", str(exc))
         return EXIT_IO

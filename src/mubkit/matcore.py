@@ -71,12 +71,6 @@ def frozen(a, dtype) -> np.ndarray:
     return out
 
 
-def max_abs(m) -> float:
-    """Largest entry magnitude; 0.0 for an empty array."""
-    arr = np.asarray(m)
-    return float(np.abs(arr).max()) if arr.size else 0.0
-
-
 # ---------------------------------------------------------------------------
 # verification reports
 
@@ -145,6 +139,13 @@ def json_int(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return int(value)
+
+
+def json_str(value, field: str) -> str:
+    """value if it is a string; a number or any other JSON value is refused, not converted."""
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -173,18 +173,18 @@ class BasisTransform:
 # ---------------------------------------------------------------------------
 # constructors
 
-def canonical_basis(d: int, label: str = "B1") -> Basis:
-    """Columns of the identity (the |j m> basis, m-descending)."""
+def canonical_basis(d: int) -> Basis:
+    """Columns of the identity (the |j m> basis, m-descending), labelled B1."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    return Basis(d, np.eye(d, dtype=np.complex128), label)
+    return Basis(d, np.eye(d, dtype=np.complex128), "B1")
 
 
-def fourier_basis(d: int, label: str = "B2") -> Basis:
-    """Discrete Fourier basis: column j has components w^(jk)/sqrt(d)."""
+def fourier_basis(d: int) -> Basis:
+    """Discrete Fourier basis, labelled B2: column j has components w^(jk)/sqrt(d)."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    return _quadratic_basis(d, 0, label)
+    return _quadratic_basis(d, 0, "B2")
 
 
 def _phase_matrix(d: int, exponents) -> np.ndarray:
@@ -217,7 +217,7 @@ def odd_prime_family(d: int) -> MubFamily:
     """
     if not _is_odd_prime(d):
         raise _refuse(d, "quadratic-phase construction requires an odd prime dimension")
-    bases = [canonical_basis(d, "B1")]
+    bases = [canonical_basis(d)]
     bases += [_quadratic_basis(d, b, f"B{b + 2}") for b in range(d)]
     return MubFamily(d, tuple(bases))
 

@@ -1,7 +1,6 @@
-"""Angular-momentum algebra: Clebsch-Gordan coefficients and irreducible
-spherical tensor operators, plus two independent constructions used as
-cross-checks (a differential-operator route and a spin-3/2 closed-form
-polynomial).
+"""Angular-momentum algebra: Clebsch-Gordan coefficients, irreducible
+spherical tensor operators and their T(k, 0) diagonals, plus the quoted
+spin-3/2 closed-form polynomial, kept so its discrepancy can be measured.
 
 Conventions
 -----------
@@ -39,7 +38,6 @@ __all__ = [
     "rank3_tensor_polynomial",
     "spherical_tensor",
     "tensor_diagonal",
-    "weyl_tensor",
 ]
 
 
@@ -225,82 +223,3 @@ def rank3_tensor_polynomial(j, variant: str = "product") -> np.ndarray:
     bracket = cube - a @ b if variant == "product" else cube - a - b
     return bracket / (3.0 * math.sqrt(5.0))
 
-
-# ---------------------------------------------------------------------------
-# Independent construction of the q = 0 tensors from the differential route
-#
-#   T(k, 0) = N_kj * [ (J . grad)^k  r^k Y_k0(theta, phi) ]_{r -> J},
-#
-# evaluated by expanding r^k Y_k0 as a polynomial in z and r^2 = x^2+y^2+z^2
-# (Legendre coefficients, kept as exact rationals) and replacing each
-# monomial x^a y^b z^c by the fully symmetrized product of Jx, Jy, Jz. The
-# symmetrization is what (J . grad)^k produces; dropping it is wrong because
-# e.g. Sym(z r^2) maps to J^2 Jz - Jz/3, not J^2 Jz.
-
-def _legendre_coeffs(k: int) -> dict[int, Fraction]:
-    """Exact expansion r^k P_k(z/r) = sum_i c_i z^(k-2i) (r^2)^i with
-    c_i = (-1)^i C(k,i) C(2k-2i,k) / 2^k; returns {k-2i: c_i}.
-    """
-    out: dict[int, Fraction] = {}
-    for i in range(k // 2 + 1):
-        c = Fraction((-1) ** i * math.comb(k, i) * math.comb(2 * k - 2 * i, k), 2 ** k)
-        out[k - 2 * i] = c
-    return out
-
-
-def _symmetrized_words(jx: np.ndarray, jy: np.ndarray, jz: np.ndarray):
-    """Return a memoized W(a,b,c): the sum of all (a+b+c)!/(a!b!c!) distinct
-    operator words containing a letters Jx, b letters Jy, c letters Jz, each
-    word once. Recursion splits on the leftmost letter.
-    """
-    d = jx.shape[0]
-    eye = np.eye(d, dtype=np.complex128)
-    cache: dict[tuple[int, int, int], np.ndarray] = {(0, 0, 0): eye}
-
-    def w(a: int, b: int, c: int) -> np.ndarray:
-        if a < 0 or b < 0 or c < 0:
-            return np.zeros_like(eye)
-        key = (a, b, c)
-        if key not in cache:
-            cache[key] = (jx @ w(a - 1, b, c)) + (jy @ w(a, b - 1, c)) + (jz @ w(a, b, c - 1))
-        return cache[key]
-
-    return w
-
-
-def weyl_tensor(j, k: int, q: int = 0) -> np.ndarray:
-    """T(k, 0) built through the symmetrized differential construction.
-
-    Supports q = 0 only (the harmonic expansion is kept to the axial case);
-    any other q raises ValueError. Agrees with spherical_tensor(j, k, 0) to
-    machine precision, by a completely different route.
-    """
-    tj, k, q = _tensor_indices(j, k, q)
-    if q != 0:
-        raise ValueError("only the q = 0 component is supported by this construction")
-    jx, jy, jz = angular_momentum(j)
-    w = _symmetrized_words(jx, jy, jz)
-
-    total = np.zeros_like(jz)
-    for zpow, coeff in _legendre_coeffs(k).items():
-        rpow = (k - zpow) // 2  # power of r^2 = x^2 + y^2 + z^2
-        # expand (x^2+y^2+z^2)^rpow * z^zpow into monomials x^(2a) y^(2b) z^(2c+zpow)
-        for a in range(rpow + 1):
-            for b in range(rpow - a + 1):
-                c = rpow - a - b
-                mult = Fraction(math.factorial(rpow),
-                                math.factorial(a) * math.factorial(b) * math.factorial(c))
-                alpha, beta, gamma = 2 * a, 2 * b, 2 * c + zpow
-                # (J.grad)^k on x^alpha y^beta z^gamma leaves alpha!beta!gamma!
-                # times the sum over all letter orders, which is W
-                weight = coeff * mult * (math.factorial(alpha)
-                                         * math.factorial(beta) * math.factorial(gamma))
-                total = total + float(weight) * w(alpha, beta, gamma)
-
-    # N_kj * sqrt((2k+1)/4pi) with the 4pi of the harmonic normalization
-    # cancelled symbolically against the one inside N_kj
-    scale = (2.0 ** k / math.factorial(k)) * math.sqrt(float(Fraction(
-        math.factorial(tj - k) * (tj + 1) * (2 * k + 1),
-        math.factorial(tj + k + 1),
-    )))
-    return scale * total

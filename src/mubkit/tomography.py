@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import CoefficientVectors, OperatorSet
-from .matcore import _json_number, as_matrix, frozen, json_int, read_json, write_json
+from .matcore import _json_number, as_matrix, frozen, json_int, json_str, read_json, write_json
 from .mub import MubFamily
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _MAX_SHOTS = 2 ** 63 - 1  # numpy's multinomial takes an int64 count
+_IMAG_TOL = 1e-8  # largest imaginary part coefficients() drops
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,9 +104,10 @@ class ReconstructionReport:
 # ---------------------------------------------------------------------------
 # expansion and reconstruction
 
-def coefficients(rho, s: OperatorSet, tol: float = 1e-8) -> np.ndarray:
+def coefficients(rho, s: OperatorSet) -> np.ndarray:
     """a_i = Tr(rho A_i) for the flat operator list; the imaginary parts must
-    vanish (Hermitian rho against Hermitian A_i) and are checked then dropped.
+    vanish (Hermitian rho against Hermitian A_i): each is checked against
+    _IMAG_TOL, then dropped.
     """
     rho = as_matrix(rho)
     if rho.shape != (s.dim, s.dim):
@@ -113,7 +115,7 @@ def coefficients(rho, s: OperatorSet, tol: float = 1e-8) -> np.ndarray:
     # Tr(rho A_n) = sum_ij rho[i, j] A_n[j, i]
     values = np.einsum("ij,nji->n", rho, s.array.reshape(-1, s.dim, s.dim))
     worst = float(np.abs(values.imag).max())
-    if worst > tol:
+    if worst > _IMAG_TOL:
         raise ValueError(f"expansion coefficients have imaginary parts up to {worst:.3e}")
     return values.real.copy()
 
@@ -180,17 +182,25 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_seed_sequence(seed, index)))
 
 
-def sample_shots(record: MeasurementRecord, n: int, seed: int) -> MeasurementRecord:
-    """Replace each exact distribution by frequencies of n multinomial draws.
-
-    Requires an exact record (shots is None) and an integer 1 <= n < 2**63;
-    deterministic in (seed, basis index), so bases may be sampled in any order.
-    """
-    if record.shots is not None:
-        raise ValueError("record is already sampled; start from an exact record")
+def shot_count(n) -> int:
+    """n as an int, if it is an integer with 1 <= n <= 2**63 - 1; the one
+    shot-count rule, applied before any sampling starts."""
     n = json_int(n, "shot count")
     if not 1 <= n <= _MAX_SHOTS:
         raise ValueError(f"shot count must satisfy 1 <= n <= 2**63 - 1, got {n}")
+    return n
+
+
+def sample_shots(record: MeasurementRecord, n: int, seed: int) -> MeasurementRecord:
+    """Replace each exact distribution by frequencies of n multinomial draws.
+
+    Requires an exact record (shots is None) and a shot count n that passes
+    shot_count; deterministic in (seed, basis index), so bases may be sampled
+    in any order.
+    """
+    if record.shots is not None:
+        raise ValueError("record is already sampled; start from an exact record")
+    n = shot_count(n)
     p = np.clip(record.probs, 0.0, None)
     p = p / p.sum(axis=1, keepdims=True)
     counts = np.array([_stream(seed, b).multinomial(n, row) for b, row in enumerate(p)])
@@ -308,18 +318,12 @@ def record_to_json(record: MeasurementRecord) -> dict:
     }
 
 
-def _label(value) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"basis label must be a string, got {value!r}")
-    return value
-
-
 def record_from_json(obj) -> MeasurementRecord:
     """Every probability must be a JSON number, as in matrix_from_json: strings
     and bools are refused, and so are labels that are not strings."""
     try:
         bases = obj["bases"]
-        labels = tuple(_label(b["label"]) for b in bases)
+        labels = tuple(json_str(b["label"], "basis label") for b in bases)
         probs = np.array([[_json_number(x) for x in b["p"]] for b in bases])
         return MeasurementRecord(obj["dim"], labels, probs, obj["shots"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

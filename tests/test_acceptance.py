@@ -23,7 +23,7 @@ from mubkit.classes import (
     verify_set,
 )
 from mubkit.cli import EXIT_UNSUPPORTED, main
-from mubkit.matcore import max_abs, root_of_unity
+from mubkit.matcore import root_of_unity
 from mubkit.mub import (
     UnsupportedDimensionError,
     builtin_family,
@@ -44,6 +44,7 @@ from mubkit.tomography import (
     reconstruct_from_record,
     sample_shots,
 )
+from helpers import max_abs
 from reference_tables import (
     J2_TABULATED_VECTORS,
     PAULI_X,

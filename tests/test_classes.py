@@ -14,7 +14,7 @@ from mubkit.classes import (
     conjugate_class,
     verify_set,
 )
-from mubkit.matcore import DEFAULT_TOL, max_abs
+from mubkit.matcore import DEFAULT_TOL
 from mubkit.mub import (
     Basis,
     BasisTransform,
@@ -24,6 +24,7 @@ from mubkit.mub import (
     odd_prime_family,
     unitary_between,
 )
+from helpers import max_abs
 from reference_tables import PAULI_X, PAULI_Y, PAULI_Z, alpha_d3
 
 ALL_DIMS = (2, 3, 4, 5, 7, 11)

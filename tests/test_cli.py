@@ -1,6 +1,11 @@
 """End-to-end tests for the command line interface."""
 
+import fcntl
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,12 +247,29 @@ def _string_operator_list(family, operators):
     return "operators must be a JSON array, got str"
 
 
+# a label or file name is never converted to a string: 2 would name basis_2.json
+def _numeric_basis_label(family, operators):
+    family["bases"][1] = 2
+    return "basis label must be a string, got 2"
+
+
+def _numeric_class_label(family, operators):
+    operators["classes"][1]["basis_label"] = 2
+    return "basis_label must be a string, got 2"
+
+
+def _numeric_operator_name(family, operators):
+    operators["classes"][1]["operators"][0] = 7
+    return "operator file name must be a string, got 7"
+
+
 @pytest.mark.parametrize("edit", [_drop_one_name, _drop_one_class, _reverse_classes,
                                   _repeat_basis_label, _repeat_class_label, _path_basis_label,
                                   _operator_dim_mismatch,
                                   _fractional_family_dim, _float_operator_dim,
                                   _string_basis_list, _object_class_list,
-                                  _string_operator_list])
+                                  _string_operator_list, _numeric_basis_label,
+                                  _numeric_class_label, _numeric_operator_name])
 def test_verify_rejects_truncated_or_reordered_operator_export(tmp_path, capsys, edit):
     # a subset of an orthonormal set is still orthonormal, so without a
     # structural check a truncated export would verify as passing; a repeated
@@ -263,6 +285,18 @@ def test_verify_rejects_truncated_or_reordered_operator_export(tmp_path, capsys,
     assert code == EXIT_IO
     assert data["error"] == "io"
     assert expected in data["message"]
+
+
+def test_verify_refuses_numeric_labels_even_with_matching_files(tmp_path, capsys):
+    # read as "1".."4", these labels would find basis_1.json.. and verify as passing
+    out = tmp_path / "fam"
+    run_json(capsys, "mub", "--dim", "3", "--out", str(out))
+    for i in range(1, 5):
+        (out / f"basis_B{i}.json").rename(out / f"basis_{i}.json")
+    (out / "family.json").write_text(json.dumps({"dim": 3, "bases": [1, 2, 3, 4]}))
+    code, data = run_json(capsys, "verify", "--in", str(out))
+    assert code == EXIT_IO
+    assert data == {"error": "io", "message": "basis label must be a string, got 1"}
 
 
 @pytest.mark.parametrize("outside", ["absolute", "parent"])
@@ -461,10 +495,13 @@ def test_tomo_invalid_shots(capsys):
     assert code == EXIT_UNSUPPORTED
     code, data = run_json(capsys, "tomo", "--dim", "3", "--shots", "-5")
     assert code == EXIT_UNSUPPORTED
-    # beyond numpy's int64 count: the structured refusal, not an OverflowError
-    code, data = run_json(capsys, "tomo", "--dim", "3", "--shots", str(10 ** 20), "--trials", "1")
-    assert code == EXIT_UNSUPPORTED
-    assert data["error"] == "invalid" and "2**63 - 1" in data["message"]
+    # beyond numpy's int64 count: the structured refusal, not an OverflowError,
+    # and the same one when no trial would sample
+    for trials in ("1", "0"):
+        code, data = run_json(capsys, "tomo", "--dim", "3", "--shots", str(10 ** 20),
+                              "--trials", trials)
+        assert code == EXIT_UNSUPPORTED, trials
+        assert data["error"] == "invalid" and "2**63 - 1" in data["message"]
 
 
 def test_tomo_dimension_six_refused(capsys):
@@ -485,6 +522,27 @@ def test_tables_contains_reference_blocks(capsys):
     # deterministic output
     code2, out2 = run(capsys, "tables")
     assert out2 == out
+
+
+@pytest.mark.parametrize("argv, lines", [(("tables",), 1), (("mub", "--dim", "3"), 0)],
+                         ids=["tables-after-one-line", "mub-before-output"])
+def test_closed_stdout_exits_io_without_traceback(argv, lines):
+    # the reader takes `lines` lines and closes the pipe. A 4096-byte pipe
+    # holds back most of the 21 kB tables output until then; the mub payload
+    # is written only by the final flush, after the pipe is closed
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen([sys.executable, "-m", "mubkit.cli", *argv],
+                            stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as reader:
+        head = [reader.readline() for _ in range(lines)]
+    stderr = proc.communicate(timeout=60)[1]
+    assert head == [b"== dimension 2 ==\n"][:lines]
+    assert (proc.returncode, stderr.decode()) == (EXIT_IO, "")
 
 
 def test_unknown_subcommand_exits_two():

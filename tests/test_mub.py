@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubkit.matcore import DEFAULT_TOL, max_abs, root_of_unity
+from mubkit.matcore import DEFAULT_TOL, root_of_unity
 from mubkit.mub import (
     BUILTIN_DIMS,
     MAX_DIM,
@@ -23,6 +23,7 @@ from mubkit.mub import (
     one_axis_twist,
     unitary_between,
 )
+from helpers import max_abs
 
 ALL_DIMS = (2, 3, 4, 5, 7, 11)
 GENERATED_DIMS = (3, 5, 7, 11, 13)

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mubkit.classes import build_set
-from mubkit.matcore import max_abs
 from mubkit.mub import builtin_family, family_for
 from mubkit.tomography import (
     MeasurementRecord,
@@ -30,6 +29,7 @@ from mubkit.tomography import (
     write_record,
 )
 from mubkit.tomography import _seed_sequence
+from helpers import max_abs
 
 ALL_DIMS = (2, 3, 4, 5, 7)
 SUPPORTED_DIMS = (2, 3, 4, 5, 7, 11, 13, 17, 19, 23)  # every supported d <= 23
@@ -57,6 +57,17 @@ def test_expansion_round_trip(d):
         assert a.shape == (d * d - 1,)
         back = reconstruct(a, opset)
         assert max_abs(back - rho) < 1e-12
+
+
+def test_coefficients_refuse_non_hermitian_state():
+    # Tr(rho A_i) of a Hermitian rho is real; an imaginary part above 1e-8 is refused
+    opset = build_set(family_for(3))
+    rho = random_density(3, 0)
+    skew = 1j * np.diag([1.0, 0.0, -1.0])  # Tr(skew A_1) = i sqrt(6), A_1 = sqrt(3/2) Jz
+    with pytest.raises(ValueError, match="imaginary parts up to 2.449e-03"):
+        coefficients(rho + 1e-3 * skew, opset)
+    # below the bound the imaginary parts are dropped
+    assert max_abs(coefficients(rho + 1e-12 * skew, opset) - coefficients(rho, opset)) < 1e-11
 
 
 @pytest.mark.parametrize("d", ALL_DIMS)

@@ -78,8 +78,8 @@ _REPORT_FILE = "verification_report.json"
 _TABLE_NAMES = {2: "sigma", 3: "alpha", 4: "beta", 5: "gamma"}
 
 
-class _LoadError(Exception):
-    """Raised when exported files are missing or malformed."""
+class _Refused(Exception):
+    """An export the package cannot verify, an operator set above MAX_DIM: exit 2, not 3."""
 
 
 def _emit(payload: dict) -> None:
@@ -95,7 +95,7 @@ def _emit_error(kind: str, message: str, **extra) -> None:
 
 def _resolve_tol(args: argparse.Namespace) -> float:
     """Tolerance precedence: --tol flag, MUBKIT_TOL env var, default."""
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         return validate_tolerance(args.tol)
     env = os.environ.get("MUBKIT_TOL")
     if env is not None:
@@ -142,30 +142,11 @@ def _write_operator_set(out: Path, opset: OperatorSet) -> list[str]:
     return _write_export(out, matrices, _OPERATORS_FILE, {"dim": opset.dim, "classes": classes})
 
 
-def _load(read, path: Path):
-    """read(path) for read_json or read_matrix; any fault of the file is a _LoadError."""
-    try:
-        return read(path)
-    except OSError as exc:
-        raise _LoadError(f"cannot read {path.name}: {exc}")
-    except ValueError as exc:
-        raise _LoadError(str(exc))
-
-
 def _json_list(value, field: str) -> list:
     """value if it is a JSON array; a string or object would iterate as something else."""
     if not isinstance(value, list):
         raise ValueError(f"{field} must be a JSON array, got {type(value).__name__}")
     return value
-
-
-def _read_manifest(src: Path, name: str, field: str, what: str) -> tuple[int, list]:
-    """The integer dim and the JSON-array field of the manifest file src/name."""
-    manifest = _load(read_json, src / name)
-    try:
-        return json_int(manifest["dim"], "dim"), _json_list(manifest[field], field)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _LoadError(f"malformed {what} manifest: {exc!r}")
 
 
 def _read_matrices(src: Path, names: list[str], dim: int) -> list[np.ndarray]:
@@ -174,50 +155,44 @@ def _read_matrices(src: Path, names: list[str], dim: int) -> list[np.ndarray]:
     for name in names:
         # src / name would drop src for an absolute name, and ".." climbs out of it
         if name in ("", "..") or Path(name).name != name:
-            raise _LoadError(f"export entry {name!r} is not a file name inside the export")
-        matrix = _load(read_matrix, src / name)
+            raise ValueError(f"export entry {name!r} is not a file name inside the export")
+        matrix = read_matrix(src / name)
         if matrix.shape != (dim, dim):
-            raise _LoadError(f"{name} has shape {matrix.shape}, expected ({dim}, {dim})")
+            raise ValueError(f"{name} has shape {matrix.shape}, expected ({dim}, {dim})")
         matrices.append(matrix)
     return matrices
 
 
-def _read_family(src: Path) -> MubFamily:
-    dim, labels = _read_manifest(src, _FAMILY_FILE, "bases", "family")
-    try:
-        labels = [json_str(label, "basis label") for label in labels]
-        matrices = _read_matrices(src, [_basis_filename(label) for label in labels], dim)
-        return MubFamily(dim, tuple(Basis(dim, m, label) for m, label in zip(matrices, labels)))
-    except ValueError as exc:
-        raise _LoadError(str(exc))
-
-
-def _read_operator_set(src: Path, family: MubFamily) -> OperatorSet:
-    dim, entries = _read_manifest(src, _OPERATORS_FILE, "classes", "operator")
-    if dim != family.dim:
-        raise _LoadError(
-            f"operator manifest dimension {dim} does not match family dimension"
-            f" {family.dim}")
+def _read_export(src: Path) -> tuple[MubFamily, OperatorSet | None]:
+    """The family exported at src and, if src holds operators.json, its operator set; a
+    fault of a file raises the KeyError, TypeError, ValueError or OSError that meets it."""
+    manifest = read_json(src / _FAMILY_FILE)
+    dim = json_int(manifest["dim"], "dim")
+    labels = [json_str(label, "basis label") for label in _json_list(manifest["bases"], "bases")]
+    matrices = _read_matrices(src, [_basis_filename(label) for label in labels], dim)
+    family = MubFamily(dim, tuple(Basis(dim, m, label) for m, label in zip(matrices, labels)))
+    if not (src / _OPERATORS_FILE).exists():
+        return family, None
+    manifest = read_json(src / _OPERATORS_FILE)
+    set_dim, entries = json_int(manifest["dim"], "dim"), _json_list(manifest["classes"], "classes")
+    if set_dim != dim:
+        raise ValueError(f"operator manifest dimension {set_dim} does not match"
+                         f" family dimension {dim}")
     by_label = {basis.label: basis for basis in family.bases}
     classes = []
     for entry in entries:
-        try:
-            label = json_str(entry["basis_label"], "basis_label")
-            names = [json_str(n, "operator file name")
-                     for n in _json_list(entry["operators"], "operators")]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _LoadError(f"malformed operator manifest entry: {exc!r}")
+        label = json_str(entry["basis_label"], "basis_label")
+        names = [json_str(n, "operator file name")
+                 for n in _json_list(entry["operators"], "operators")]
         if label not in by_label:
-            raise _LoadError(f"operator class references unknown basis {label}")
+            raise ValueError(f"operator class references unknown basis {label}")
         if any(cls.basis_label == label for cls in classes):
-            raise _LoadError(f"operator manifest repeats class label {label}")
+            raise ValueError(f"operator manifest repeats class label {label}")
         projectors = tuple(by_label[label].projector(i) for i in range(dim))
         classes.append(CommutingClass(label, tuple(_read_matrices(src, names, dim)), projectors))
-    coeffs = coefficient_vectors(dim)
-    try:
-        return OperatorSet(dim, tuple(classes), family, coeffs)
-    except ValueError as exc:
-        raise _LoadError(f"malformed operator export: {exc}")
+    if dim > MAX_DIM:
+        raise _Refused(f"dimension must satisfy 2 <= d <= {MAX_DIM}, got {dim}")
+    return family, OperatorSet(dim, tuple(classes), family, coefficient_vectors(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +321,16 @@ def cmd_operators(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
-    src = Path(getattr(args, "in"))
-    family = _read_family(src)
+    try:
+        family, opset = _read_export(Path(getattr(args, "in")))
+    except (KeyError, TypeError, ValueError) as exc:
+        # the one place where a fault of an export file joins the OSErrors of
+        # reading one, which _run answers with exit 3
+        bare = isinstance(exc, (KeyError, TypeError))  # a missing field, a non-object entry
+        raise OSError(f"malformed manifest: {exc!r}" if bare else str(exc)) from exc
     results = check_family(family, tol).results
-    if (src / _OPERATORS_FILE).exists():
-        results += verify_set(_read_operator_set(src, family), tol).results
+    if opset is not None:
+        results += verify_set(opset, tol).results
     return _emit_report("verify", family.dim, {}, tol, VerificationReport(results))
 
 
@@ -513,10 +493,10 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_UNSUPPORTED
     except BrokenPipeError:
         raise  # an OSError of stdout itself, handled by main
-    except (_LoadError, OSError) as exc:
+    except OSError as exc:
         _emit_error("io", str(exc))
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, _Refused) as exc:
         _emit_error("invalid", str(exc))
         return EXIT_UNSUPPORTED
 

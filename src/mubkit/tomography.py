@@ -61,10 +61,13 @@ class MeasurementRecord:
     shots: int | None = None
 
     def __post_init__(self):
-        # stored as Python ints, so the record always serialises and reads back
+        # stored as Python ints and strs under the record file's rules, so the
+        # record always serialises and reads back; shot_count is the sampler's rule
         object.__setattr__(self, "dim", json_int(self.dim, "dim"))
+        object.__setattr__(self, "labels", tuple(json_str(label, "basis label")
+                                                 for label in self.labels))
         if self.shots is not None:
-            object.__setattr__(self, "shots", json_int(self.shots, "shots"))
+            object.__setattr__(self, "shots", shot_count(json_int(self.shots, "shots")))
         p = frozen(self.probs, np.float64)  # the checks below hold for the stored copy
         if p.ndim != 2 or p.shape[1] != self.dim or p.shape[0] != len(self.labels):
             raise ValueError(f"probability array shape {p.shape} does not match "
@@ -77,8 +80,6 @@ class MeasurementRecord:
             raise ValueError("probabilities must lie in [0, 1]")
         if np.abs(p.sum(axis=1) - 1.0).max() > 1e-9:
             raise ValueError("each basis distribution must sum to 1")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError(f"shots must be a positive integer, got {self.shots}")
         object.__setattr__(self, "probs", p)
 
 
@@ -320,12 +321,11 @@ def record_to_json(record: MeasurementRecord) -> dict:
 
 def record_from_json(obj) -> MeasurementRecord:
     """Every probability must be a JSON number, as in matrix_from_json: strings
-    and bools are refused, and so are labels that are not strings."""
+    and bools are refused; MeasurementRecord applies the label and integer rules."""
     try:
         bases = obj["bases"]
-        labels = tuple(json_str(b["label"], "basis label") for b in bases)
         probs = np.array([[_json_number(x) for x in b["p"]] for b in bases])
-        return MeasurementRecord(obj["dim"], labels, probs, obj["shots"])
+        return MeasurementRecord(obj["dim"], tuple(b["label"] for b in bases), probs, obj["shots"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed measurement record: {exc}") from exc
 

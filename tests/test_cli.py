@@ -263,13 +263,37 @@ def _numeric_operator_name(family, operators):
     return "operator file name must be a string, got 7"
 
 
+# a missing field or a class entry that is not an object; the TypeError's own text
+# varies with the Python version, so only its type is pinned
+def _family_without_dim(family, operators):
+    del family["dim"]
+    return "malformed manifest: KeyError('dim')"
+
+
+def _family_without_bases(family, operators):
+    del family["bases"]
+    return "malformed manifest: KeyError('bases')"
+
+
+def _string_class_entry(family, operators):
+    operators["classes"][1] = "B2"
+    return "malformed manifest: TypeError("
+
+
+def _class_entry_without_operators(family, operators):
+    del operators["classes"][1]["operators"]
+    return "malformed manifest: KeyError('operators')"
+
+
 @pytest.mark.parametrize("edit", [_drop_one_name, _drop_one_class, _reverse_classes,
                                   _repeat_basis_label, _repeat_class_label, _path_basis_label,
                                   _operator_dim_mismatch,
                                   _fractional_family_dim, _float_operator_dim,
                                   _string_basis_list, _object_class_list,
                                   _string_operator_list, _numeric_basis_label,
-                                  _numeric_class_label, _numeric_operator_name])
+                                  _numeric_class_label, _numeric_operator_name,
+                                  _family_without_dim, _family_without_bases,
+                                  _string_class_entry, _class_entry_without_operators])
 def test_verify_rejects_truncated_or_reordered_operator_export(tmp_path, capsys, edit):
     # a subset of an orthonormal set is still orthonormal, so without a
     # structural check a truncated export would verify as passing; a repeated
@@ -366,6 +390,18 @@ def test_verify_rejects_family_dimension_below_two(tmp_path, capsys, dim, bases,
     code, data = run_json(capsys, "verify", "--in", str(out))
     assert code == EXIT_IO
     assert data == {"error": "io", "message": f"a family needs dimension at least 2, got {dim}"}
+
+
+def test_verify_refuses_operator_export_above_ceiling(tmp_path, capsys):
+    # sound files in a dimension without coefficient vectors: an invalid input
+    # (exit 2), not a malformed export (exit 3)
+    out = tmp_path / "fam29"
+    code, _ = run_json(capsys, "mub", "--dim", "29", "--source", "generated", "--out", str(out))
+    assert code == EXIT_PASS
+    (out / "operators.json").write_text(json.dumps({"dim": 29, "classes": []}))
+    code, data = run_json(capsys, "verify", "--in", str(out))
+    assert code == EXIT_UNSUPPORTED
+    assert data == {"error": "invalid", "message": "dimension must satisfy 2 <= d <= 26, got 29"}
 
 
 def test_operators_dimension_six_refused(capsys):

@@ -310,8 +310,11 @@ def test_measurement_record_validation(tmp_path):
     bad[0] = [1.2, -0.2]
     with pytest.raises(ValueError):
         MeasurementRecord(2, ("B1", "B2", "B3"), bad)
-    with pytest.raises(ValueError):
-        MeasurementRecord(2, ("B1", "B2", "B3"), good, shots=0)
+    # shots follow the sampler's rule, so no record holds a count no sampler can draw
+    for value in (0, -1, 2 ** 63, 10 ** 20):
+        with pytest.raises(ValueError, match=r"^shot count must satisfy 1 <= n <= 2\*\*63 - 1, "
+                                             f"got {value}$"):
+            MeasurementRecord(2, ("B1", "B2", "B3"), good, shots=value)
     for value in (np.nan, np.inf):
         bad = good.copy()
         bad[1, 0] = value
@@ -323,12 +326,22 @@ def test_measurement_record_validation(tmp_path):
             MeasurementRecord(value, ("B1", "B2", "B3"), good)
         with pytest.raises(ValueError, match="shots must be an integer"):
             MeasurementRecord(2, ("B1", "B2", "B3"), good, shots=value)
-    record = MeasurementRecord(np.int64(2), ("B1", "B2", "B3"), good, shots=np.int64(1000))
+    # labels follow the record file's string rule, so every record that builds reads back
+    for labels in ((1, 2, 3), ("B1", None, "B3"), ("B1", "B2", ["B3"])):
+        with pytest.raises(ValueError, match="^basis label must be a string, got "):
+            MeasurementRecord(2, labels, good)
+    record = MeasurementRecord(np.int64(2), ["B1", "B2", "B3"], good, shots=np.int64(1000))
     assert type(record.dim) is int and type(record.shots) is int
-    write_record(tmp_path / "record.json", record)
-    back = read_record(tmp_path / "record.json")
-    assert (back.dim, back.shots) == (2, 1000)
+    assert record.labels == ("B1", "B2", "B3")
+    path = tmp_path / "record.json"
+    write_record(path, record)
+    back = read_record(path)
+    assert (back.dim, back.labels, back.shots) == (2, ("B1", "B2", "B3"), 1000)
     assert np.array_equal(back.probs, good)
+    path.write_text(path.read_text().replace('"shots": 1000', '"shots": 100000000000000000000'))
+    with pytest.raises(ValueError, match=r"^malformed measurement record: shot count must "
+                                         r"satisfy 1 <= n <= 2\*\*63 - 1, got 10{20}$"):
+        read_record(path)
 
 
 def test_record_json_round_trip(tmp_path):

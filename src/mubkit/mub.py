@@ -32,6 +32,7 @@ from .matcore import (
     VerificationReport,
     as_matrix,
     frozen,
+    json_int,
     root_of_unity,
     validate_tolerance,
 )
@@ -184,19 +185,21 @@ def fourier_basis(d: int) -> Basis:
     """Discrete Fourier basis, labelled B2: column j has components w^(jk)/sqrt(d)."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    return _quadratic_basis(d, 0, "B2")
+    return Basis(d, _quadratic_phases(d, 0), "B2")
 
 
 def _phase_matrix(d: int, exponents) -> np.ndarray:
-    """w^(exponents mod d)/sqrt(n) for an n x n integer exponent grid, w = exp(2 pi i/d)."""
+    """w^(exponents mod d)/sqrt(n) for a (..., n, n) integer exponent grid, w = exp(2 pi i/d)."""
     powers = np.array([root_of_unity(d, p) for p in range(d)])
-    return powers[np.asarray(exponents) % d] / np.sqrt(len(exponents))
+    exponents = np.asarray(exponents)
+    return powers[exponents % d] / np.sqrt(exponents.shape[-1])
 
 
-def _quadratic_basis(d: int, b: int, label: str) -> Basis:
-    # component k of vector j: w^(b k^2 + j k)/sqrt(d); b = 0 is the Fourier basis
+def _quadratic_phases(d: int, b) -> np.ndarray:
+    """Component k of vector j is w^(b k^2 + j k)/sqrt(d), one d x d matrix per
+    entry of b (a scalar or an array); b = 0 is the Fourier basis."""
     k = np.arange(d)[:, np.newaxis]
-    return Basis(d, _phase_matrix(d, b * k * k + np.arange(d) * k), label)
+    return _phase_matrix(d, np.multiply.outer(b, k * k) + np.arange(d) * k)
 
 
 def one_axis_twist(d: int, t: float) -> BasisTransform:
@@ -215,10 +218,12 @@ def odd_prime_family(d: int) -> MubFamily:
     """Complete family for odd prime d: canonical basis plus the d
     quadratic-phase bases b = 0..d-1.
     """
+    d = json_int(d, "dimension")
     if not _is_odd_prime(d):
         raise _refuse(d, "quadratic-phase construction requires an odd prime dimension")
+    phases = _quadratic_phases(d, np.arange(d))
     bases = [canonical_basis(d)]
-    bases += [_quadratic_basis(d, b, f"B{b + 2}") for b in range(d)]
+    bases += [Basis(d, m, f"B{b + 2}") for b, m in enumerate(phases)]
     return MubFamily(d, tuple(bases))
 
 
@@ -254,6 +259,7 @@ def _builtin_4() -> tuple[np.ndarray, ...]:
 
 def builtin_family(d: int) -> MubFamily:
     """Complete family from the built-in tables, d in {2, 3, 4, 5}."""
+    d = json_int(d, "dimension")
     if d not in BUILTIN_DIMS:
         raise _refuse(d, f"built-in tables cover dimensions {BUILTIN_DIMS}")
     if d == 5:
@@ -270,6 +276,7 @@ def family_for(d: int) -> MubFamily:
     """The complete family for d: the built-in tables for d in BUILTIN_DIMS,
     else the quadratic-phase family for odd prime d <= MAX_DIM.
     """
+    d = json_int(d, "dimension")
     if d in BUILTIN_DIMS:
         return builtin_family(d)
     if _is_odd_prime(d) and d <= MAX_DIM:

@@ -1,5 +1,7 @@
 """Tests for commuting-class operator construction and verification."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -293,6 +295,114 @@ def test_verify_set_matches_loop_reference(d):
 @pytest.mark.parametrize("d", [3, 5])
 def test_verify_set_matches_loop_reference_on_tampered_sets(d, tamper):
     assert_matches_reference(tamper(build_set(family_for(d))))
+
+
+def real_perturbation(opset):
+    ops = opset.classes[0].operators
+    bumped = ops[0].copy()
+    bumped[0, 1] += 1e-6
+    return replace_class_operators(opset, 0, (bumped,) + ops[1:])
+
+
+def per_class_commutator_maxima(ops):
+    """The p x p matrix of the largest entry of |[ops[k], ops[l]]|, from one
+    (p*d, d) @ (d, p*d) product reduced per operator pair."""
+    p, d, _ = ops.shape
+    x = (ops.reshape(p * d, d) @ ops.transpose(1, 0, 2).reshape(d, p * d)).reshape(p, d, p, d)
+    return np.abs(x - x.transpose(2, 1, 0, 3)).max(axis=(1, 3))
+
+
+def per_class_checks(s, tol=DEFAULT_TOL):
+    """verify_set's seven metrics with the same GEMM calls as verify_set, but
+    the commutator checks reduced per operator pair and per class: the
+    stacked implementation must reproduce these values bit for bit, on any
+    BLAS kernel, for finite sets."""
+    d, a = s.dim, s.array
+    n, m = a.shape[:2]
+    results = []
+    dev = float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
+    results.append(("hermiticity", dev, dev <= tol))
+    dev = float(np.abs(np.trace(a, axis1=-2, axis2=-1)).max())
+    results.append(("tracelessness", dev, dev <= tol))
+    full = np.concatenate([np.eye(d, dtype=np.complex128).reshape(1, -1),
+                           a.reshape(n * m, d * d)])
+    gram = full.conj() @ full.T
+    gram[np.diag_indices_from(gram)] -= d
+    dev = float(np.abs(gram[1:, 1:]).max())
+    results.append(("hs_orthogonality", dev, dev <= tol))
+    dev = float(max(per_class_commutator_maxima(ops).max() for ops in a))
+    results.append(("within_class_commutation", dev, dev <= tol))
+    bases = s.family.array
+    want = s.coefficients.vectors[np.newaxis, :, np.newaxis, :] * bases[:, np.newaxis]
+    got = (a.reshape(n, m * d, d) @ bases).reshape(n, m, d, d)
+    dev = float(np.abs(got - want).max())
+    results.append(("eigen_relation", dev, dev <= tol))
+    dev = float(per_class_commutator_maxima(a[:, 0])[np.triu_indices(n, 1)].min())
+    results.append(("cross_class_witness", dev, dev >= NONCOMMUTING_FLOOR))
+    dev = float(np.abs(gram).max())
+    results.append(("completeness", dev, dev <= tol))
+    return results
+
+
+def per_basis_classes(family, coeffs):
+    """Operators and projectors one basis at a time: the projectors of the
+    basis columns, then the operators summed over them in order i = 0..d-1
+    with the real coefficients."""
+    d = family.dim
+    ops, projectors = [], []
+    for m in family.array:
+        b = m.T
+        proj = b[:, :, np.newaxis] * b.conj()[:, np.newaxis, :]
+        acc = np.zeros((d - 1, d, d), dtype=np.complex128)
+        for i in range(d):
+            acc += coeffs.vectors[:, i, np.newaxis, np.newaxis] * proj[i]
+        ops.append(acc)
+        projectors.append(proj)
+    return np.array(ops), np.array(projectors)
+
+
+@functools.cache
+def supported_set(d):
+    return build_set(family_for(d))
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMS)
+def test_build_set_bytes_equal_per_basis_reference(d):
+    opset = supported_set(d)
+    ops, projectors = per_basis_classes(opset.family, opset.coefficients)
+    assert opset.array.tobytes() == ops.tobytes()
+    assert np.array([c.projectors for c in opset.classes]).tobytes() == projectors.tobytes()
+    for i, basis in enumerate(opset.family.bases):
+        cls = build_class(basis, opset.coefficients)
+        assert cls.basis_label == basis.label
+        assert np.array(cls.operators).tobytes() == ops[i].tobytes()
+        assert np.array(cls.projectors).tobytes() == projectors[i].tobytes()
+
+
+TAMPERINGS = (None, identity_replacement, duplicate_operator, non_hermitian_perturbation,
+              real_perturbation)
+
+
+# duplicate_operator needs two operators per class, so it starts at d = 3
+@pytest.mark.parametrize("d,tamper", [(d, t) for d in SUPPORTED_DIMS for t in TAMPERINGS
+                                      if d > 2 or t is not duplicate_operator])
+def test_verify_set_values_equal_per_class_reference(d, tamper):
+    opset = supported_set(d) if tamper is None else tamper(supported_set(d))
+    got = [(r.check, r.worst_deviation, r.passed) for r in verify_set(opset)]
+    assert got == per_class_checks(opset)
+
+
+# classes 0 and 5 are the first and the last class at d = 5
+@pytest.mark.parametrize("index", [0, 5])
+def test_nan_operator_in_any_class_fails_within_class_commutation(index):
+    opset = build_set(family_for(5))
+    ops = list(opset.classes[index].operators)
+    ops[1] = ops[1].copy()
+    ops[1][0, 1] = np.nan
+    result = verify_set(replace_class_operators(opset, index, ops)).result(
+        "within_class_commutation")
+    assert np.isnan(result.worst_deviation)
+    assert not result.passed
 
 
 def all_pairs_witness(s):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mubkit.classes import coefficient_vectors
 from mubkit.matcore import DEFAULT_TOL, root_of_unity
 from mubkit.mub import (
     BUILTIN_DIMS,
@@ -44,6 +45,18 @@ def scalar_phase_basis(d, b):
         for j in range(d):
             m[k, j] = root_of_unity(d, b * k * k + j * k)
     return m / np.sqrt(d)
+
+
+def per_basis_family(d):
+    """The odd-prime family one quadratic-phase basis b at a time, each with
+    its own root-of-unity table: odd_prime_family must reproduce its bytes."""
+    k = np.arange(d)[:, np.newaxis]
+    mats = [np.eye(d, dtype=np.complex128)]
+    for b in range(d):
+        powers = np.array([root_of_unity(d, p) for p in range(d)])
+        exponents = b * k * k + np.arange(d) * k
+        mats.append(powers[exponents % d] / np.sqrt(len(exponents)))
+    return np.array(mats)
 
 
 def reference_family_checks(family, tol=DEFAULT_TOL):
@@ -134,6 +147,28 @@ def test_odd_prime_family_equals_scalar_loop(p):
     assert np.array_equal(family.bases[0].matrix, np.eye(p))
     for b, basis in enumerate(family.bases[1:]):
         assert np.array_equal(basis.matrix, scalar_phase_basis(p, b)), b
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_family_bytes_equal_per_basis_reference(p):
+    want = per_basis_family(p)
+    assert odd_prime_family(p).array.tobytes() == want.tobytes()
+    assert fourier_basis(p).matrix.tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("d", [5.0, True, "5", None])
+@pytest.mark.parametrize("constructor", [odd_prime_family, builtin_family, family_for,
+                                         coefficient_vectors])
+def test_dimension_must_be_an_integer(constructor, d):
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        constructor(d)
+
+
+@pytest.mark.parametrize("constructor", [odd_prime_family, builtin_family, family_for,
+                                         coefficient_vectors])
+def test_dimension_accepts_numpy_integers(constructor):
+    got = constructor(np.int64(5))
+    assert type(got.dim) is int and got.dim == 5
 
 
 @pytest.mark.parametrize("d", SUPPORTED_DIMS)

@@ -54,6 +54,7 @@ class CoefficientVectors:
     vectors: np.ndarray  # shape (d-1, d), real
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", json_int(self.dim, "dimension"))
         v = frozen(self.vectors, np.float64)
         if v.shape != (self.dim - 1, self.dim):
             raise ValueError(f"expected shape {(self.dim - 1, self.dim)}, got {v.shape}")
@@ -66,7 +67,7 @@ class CommutingClass:
 
     basis_label: str
     operators: tuple[np.ndarray, ...]
-    projectors: tuple[np.ndarray, ...]
+    projectors: None = None  # unused: a class's projectors are its basis columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +77,7 @@ class OperatorSet:
     Class i belongs to basis i of the family: exactly d+1 classes, each of
     d-1 operators of shape (d, d), in family order. The operators are stored
     once, as the read-only complex array ``array[i, k]`` = operator k of
-    class i; each class's ``operators`` are views of it.
+    class i; each class's ``operators`` are views of it. No array a set reaches is writable.
     """
 
     dim: int
@@ -86,7 +87,8 @@ class OperatorSet:
     array: np.ndarray = field(init=False, repr=False)  # shape (d+1, d-1, d, d)
 
     def __post_init__(self):
-        d = self.dim
+        d = json_int(self.dim, "dimension")
+        object.__setattr__(self, "dim", d)
         if self.family.dim != d:
             raise ValueError(f"family dimension {self.family.dim} does not match set dimension {d}")
         if self.coefficients.dim != d:
@@ -109,8 +111,7 @@ class OperatorSet:
         a = frozen([cls.operators for cls in self.classes], np.complex128)
         object.__setattr__(self, "array", a)
         object.__setattr__(self, "classes", tuple(
-            CommutingClass(cls.basis_label, tuple(a[i]), cls.projectors)
-            for i, cls in enumerate(self.classes)))
+            CommutingClass(cls.basis_label, tuple(a[i])) for i, cls in enumerate(self.classes)))
 
     @property
     def operators(self) -> tuple[np.ndarray, ...]:
@@ -133,18 +134,17 @@ def coefficient_vectors(d: int) -> CoefficientVectors:
     return CoefficientVectors(d, np.array([tensor_diagonal(j, k) for k in range(1, d)]))
 
 
-def _operators(bases: np.ndarray, coeffs: CoefficientVectors) -> tuple[np.ndarray, np.ndarray]:
-    """For a stack of n bases: the projectors proj[c, i] = |b_i><b_i| of basis c
-    and the operators ops[c, k] = sum_i coeffs[k][i] proj[c, i], summed in
-    order i = 0..d-1 for all classes at once."""
-    b = bases.transpose(0, 2, 1)  # b[c, i] is |b_i> of basis c
-    proj = b[:, :, :, np.newaxis] * b.conj()[:, :, np.newaxis, :]
+def _operators(bases: np.ndarray, coeffs: CoefficientVectors) -> np.ndarray:
+    """For a stack of n bases: the operators ops[c, k] = sum_i coeffs[k][i]
+    |b_i><b_i| of basis c, summed in order i = 0..d-1 for all classes at once."""
     w = coeffs.vectors.astype(np.complex128)
     n, d = bases.shape[:2]
     ops = np.zeros((n, d - 1, d, d), dtype=np.complex128)
     for i in range(d):
-        ops += w[:, i, np.newaxis, np.newaxis] * proj[:, i, np.newaxis]
-    return ops, proj
+        col = bases[:, :, i]  # |b_i> of every basis
+        proj = col[:, :, np.newaxis] * col.conj()[:, np.newaxis, :]
+        ops += w[:, i, np.newaxis, np.newaxis] * proj[:, np.newaxis]
+    return ops
 
 
 def build_class(basis: Basis, coeffs: CoefficientVectors) -> CommutingClass:
@@ -153,8 +153,7 @@ def build_class(basis: Basis, coeffs: CoefficientVectors) -> CommutingClass:
     """
     if basis.dim != coeffs.dim:
         raise ValueError(f"dimension mismatch: basis {basis.dim} vs coefficients {coeffs.dim}")
-    ops, proj = _operators(basis.matrix[np.newaxis], coeffs)
-    return CommutingClass(basis.label, tuple(ops[0]), tuple(proj[0]))
+    return CommutingClass(basis.label, tuple(_operators(basis.matrix[np.newaxis], coeffs)[0]))
 
 
 def build_set(family: MubFamily, tol: float = DEFAULT_TOL) -> OperatorSet:
@@ -166,9 +165,8 @@ def build_set(family: MubFamily, tol: float = DEFAULT_TOL) -> OperatorSet:
         worst = max(r.worst_deviation for r in report)
         raise ValueError(f"family fails MUB verification (worst deviation {worst:.3e})")
     coeffs = coefficient_vectors(family.dim)
-    ops, proj = _operators(family.array, coeffs)
-    classes = tuple(CommutingClass(label, tuple(o), tuple(p))
-                    for label, o, p in zip(family.labels, ops, proj))
+    classes = tuple(CommutingClass(label, tuple(ops))
+                    for label, ops in zip(family.labels, _operators(family.array, coeffs)))
     return OperatorSet(family.dim, classes, family, coeffs)
 
 
@@ -183,11 +181,8 @@ def conjugate_class(cls: CommutingClass, transform: BasisTransform) -> Commuting
         raise ValueError(f"dimension mismatch: class {cls.operators[0].shape} vs transform {dim}")
     u = transform.matrix
     ud = u.conj().T
-    return CommutingClass(
-        transform.target_label or cls.basis_label,
-        tuple(u @ op @ ud for op in cls.operators),
-        tuple(u @ p @ ud for p in cls.projectors),
-    )
+    return CommutingClass(transform.target_label or cls.basis_label,
+                          tuple(u @ op @ ud for op in cls.operators))
 
 
 def _products(ops: np.ndarray) -> np.ndarray:

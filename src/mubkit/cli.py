@@ -178,18 +178,16 @@ def _read_export(src: Path) -> tuple[MubFamily, OperatorSet | None]:
     if set_dim != dim:
         raise ValueError(f"operator manifest dimension {set_dim} does not match"
                          f" family dimension {dim}")
-    by_label = {basis.label: basis for basis in family.bases}
     classes = []
     for entry in entries:
         label = json_str(entry["basis_label"], "basis_label")
         names = [json_str(n, "operator file name")
                  for n in _json_list(entry["operators"], "operators")]
-        if label not in by_label:
+        if label not in labels:
             raise ValueError(f"operator class references unknown basis {label}")
         if any(cls.basis_label == label for cls in classes):
             raise ValueError(f"operator manifest repeats class label {label}")
-        projectors = tuple(by_label[label].projector(i) for i in range(dim))
-        classes.append(CommutingClass(label, tuple(_read_matrices(src, names, dim)), projectors))
+        classes.append(CommutingClass(label, tuple(_read_matrices(src, names, dim))))
     if dim > MAX_DIM:
         raise _Refused(f"dimension must satisfy 2 <= d <= {MAX_DIM}, got {dim}")
     return family, OperatorSet(dim, tuple(classes), family, coefficient_vectors(dim))

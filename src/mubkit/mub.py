@@ -105,6 +105,7 @@ class Basis:
     label: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", json_int(self.dim, "dimension"))
         m = frozen(as_matrix(self.matrix), np.complex128)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"basis matrix must be {self.dim}x{self.dim}, got {m.shape}")
@@ -132,6 +133,7 @@ class MubFamily:
     array: np.ndarray = field(init=False, repr=False)  # shape (d+1, d, d)
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", json_int(self.dim, "dimension"))
         if self.dim < 2:
             raise ValueError(f"a family needs dimension at least 2, got {self.dim}")
         if len(self.bases) != self.dim + 1:
@@ -165,6 +167,7 @@ class BasisTransform:
     target_label: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", json_int(self.dim, "dimension"))
         m = frozen(as_matrix(self.matrix), np.complex128)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"transform must be {self.dim}x{self.dim}, got {m.shape}")
@@ -176,6 +179,7 @@ class BasisTransform:
 
 def canonical_basis(d: int) -> Basis:
     """Columns of the identity (the |j m> basis, m-descending), labelled B1."""
+    d = json_int(d, "dimension")
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     return Basis(d, np.eye(d, dtype=np.complex128), "B1")
@@ -183,6 +187,7 @@ def canonical_basis(d: int) -> Basis:
 
 def fourier_basis(d: int) -> Basis:
     """Discrete Fourier basis, labelled B2: column j has components w^(jk)/sqrt(d)."""
+    d = json_int(d, "dimension")
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     return Basis(d, _quadratic_phases(d, 0), "B2")
@@ -206,6 +211,7 @@ def one_axis_twist(d: int, t: float) -> BasisTransform:
     """One-axis twisting unitary exp(-i Jz^2 t): diagonal phases exp(-i m^2 t)
     in the canonical basis, m = j..-j with j = (d-1)/2.
     """
+    d = json_int(d, "dimension")
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     tj = d - 1

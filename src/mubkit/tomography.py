@@ -210,6 +210,7 @@ def sample_shots(record: MeasurementRecord, n: int, seed: int) -> MeasurementRec
 
 def random_density(d: int, seed: int) -> np.ndarray:
     """Ginibre-distributed density matrix G G^dag / Tr(G G^dag)."""
+    d = json_int(d, "dimension")
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     rng = _stream(seed, 0)

@@ -1,5 +1,6 @@
 """Tests for commuting-class operator construction and verification."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -22,10 +23,14 @@ from mubkit.mub import (
     BasisTransform,
     MubFamily,
     builtin_family,
+    canonical_basis,
     family_for,
+    fourier_basis,
     odd_prime_family,
+    one_axis_twist,
     unitary_between,
 )
+from mubkit.tomography import random_density
 from helpers import max_abs
 from reference_tables import PAULI_X, PAULI_Y, PAULI_Z, alpha_d3
 
@@ -146,7 +151,7 @@ def test_build_set_rejects_non_mub_family():
 def replace_class_operators(opset, index, ops):
     cls = opset.classes[index]
     classes = list(opset.classes)
-    classes[index] = CommutingClass(cls.basis_label, tuple(ops), cls.projectors)
+    classes[index] = CommutingClass(cls.basis_label, tuple(ops))
     return OperatorSet(opset.dim, tuple(classes), opset.family, opset.coefficients)
 
 
@@ -215,6 +220,89 @@ def test_set_refuses_coefficients_of_another_dimension():
     opset = build_set(builtin_family(3))
     with pytest.raises(ValueError, match="coefficient dimension 4 does not match set dimension 3"):
         OperatorSet(3, opset.classes, opset.family, coefficient_vectors(4))
+
+
+def reachable_arrays(obj):
+    """Every numpy array reachable from obj through dataclass fields and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from reachable_arrays(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from reachable_arrays(getattr(obj, f.name))
+
+
+@pytest.mark.parametrize("d", ALL_DIMS)
+def test_every_array_a_set_reaches_is_read_only(d):
+    opset = build_set(family_for(d))
+    arrays = list(reachable_arrays(opset))
+    # array and its operator views, family.array and its basis views, the coefficients
+    assert len(arrays) == 1 + (d + 1) * (d - 1) + 1 + (d + 1) + 1
+    assert not any(a.flags.writeable for a in arrays)
+
+
+def test_classes_keep_no_projectors():
+    opset = build_set(builtin_family(3))
+    basis = opset.family.bases[1]
+    passed = tuple(CommutingClass(cls.basis_label, cls.operators,
+                                  tuple(basis.projector(i) for i in range(3)))
+                   for cls in opset.classes)
+    rebuilt = OperatorSet(3, passed, opset.family, opset.coefficients)
+    cls = build_class(basis, opset.coefficients)
+    moved = conjugate_class(cls, unitary_between(basis, opset.family.bases[2]))
+    assert all(c.projectors is None for c in opset.classes + rebuilt.classes + (cls, moved))
+
+
+# the three values would build a set whose dim is not an int, or fail inside numpy
+DIMENSION_CALLS = {
+    "canonical_basis": canonical_basis,
+    "fourier_basis": fourier_basis,
+    "one_axis_twist": lambda d: one_axis_twist(d, 1),
+    "random_density": lambda d: random_density(d, 1),
+    "Basis": lambda d: Basis(d, np.eye(5)),
+    "BasisTransform": lambda d: BasisTransform(d, np.eye(5)),
+    "MubFamily": lambda d: MubFamily(d, family_for(5).bases),
+    "CoefficientVectors": lambda d: CoefficientVectors(d, coefficient_vectors(5).vectors),
+    "OperatorSet": lambda d: OperatorSet(d, supported_set(5).classes, supported_set(5).family,
+                                         supported_set(5).coefficients),
+}
+
+
+@pytest.mark.parametrize("call", DIMENSION_CALLS.values(), ids=DIMENSION_CALLS)
+def test_dimension_follows_one_integer_rule(call):
+    for bad in (5.0, True, "5"):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            call(bad)
+    built = call(np.int64(5))
+    dim = built.shape[0] if isinstance(built, np.ndarray) else built.dim
+    assert type(dim) is int and dim == 5
+
+
+def _operator_of_wrong_shape():
+    opset = supported_set(3)
+    return replace_class_operators(opset, 1, (np.eye(2),) + opset.classes[1].operators[1:])
+
+
+CLASS_REFUSALS = {
+    "set-family-dim": (lambda: OperatorSet(3, supported_set(3).classes, family_for(5),
+                                           supported_set(3).coefficients),
+                       "family dimension 5 does not match set dimension 3"),
+    "set-operator-shape": (_operator_of_wrong_shape,
+                           r"class 'B2' has an operator of shape \(2, 2\), expected \(3, 3\)"),
+    "build-class-dim": (lambda: build_class(canonical_basis(5), coefficient_vectors(3)),
+                        "dimension mismatch: basis 5 vs coefficients 3"),
+    "conjugate-class-dim": (lambda: conjugate_class(supported_set(3).classes[0],
+                                                    one_axis_twist(5, 1)),
+                            r"dimension mismatch: class \(3, 3\) vs transform 5"),
+}
+
+
+@pytest.mark.parametrize("call, message", CLASS_REFUSALS.values(), ids=CLASS_REFUSALS)
+def test_class_constructors_refuse_mismatched_dimensions(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("tamper", [identity_replacement, duplicate_operator,
@@ -345,11 +433,11 @@ def per_class_checks(s, tol=DEFAULT_TOL):
 
 
 def per_basis_classes(family, coeffs):
-    """Operators and projectors one basis at a time: the projectors of the
-    basis columns, then the operators summed over them in order i = 0..d-1
-    with the real coefficients."""
+    """Operators one basis at a time: the projectors of the basis columns,
+    then the operators summed over them in order i = 0..d-1 with the real
+    coefficients."""
     d = family.dim
-    ops, projectors = [], []
+    ops = []
     for m in family.array:
         b = m.T
         proj = b[:, :, np.newaxis] * b.conj()[:, np.newaxis, :]
@@ -357,8 +445,7 @@ def per_basis_classes(family, coeffs):
         for i in range(d):
             acc += coeffs.vectors[:, i, np.newaxis, np.newaxis] * proj[i]
         ops.append(acc)
-        projectors.append(proj)
-    return np.array(ops), np.array(projectors)
+    return np.array(ops)
 
 
 @functools.cache
@@ -369,14 +456,12 @@ def supported_set(d):
 @pytest.mark.parametrize("d", SUPPORTED_DIMS)
 def test_build_set_bytes_equal_per_basis_reference(d):
     opset = supported_set(d)
-    ops, projectors = per_basis_classes(opset.family, opset.coefficients)
+    ops = per_basis_classes(opset.family, opset.coefficients)
     assert opset.array.tobytes() == ops.tobytes()
-    assert np.array([c.projectors for c in opset.classes]).tobytes() == projectors.tobytes()
     for i, basis in enumerate(opset.family.bases):
         cls = build_class(basis, opset.coefficients)
         assert cls.basis_label == basis.label
         assert np.array(cls.operators).tobytes() == ops[i].tobytes()
-        assert np.array(cls.projectors).tobytes() == projectors[i].tobytes()
 
 
 TAMPERINGS = (None, identity_replacement, duplicate_operator, non_hermitian_perturbation,
@@ -445,8 +530,6 @@ def test_build_set_equals_projector_sum(d):
     c = opset.coefficients.vectors
     for cls, basis in zip(opset.classes, opset.family.bases):
         projectors = [basis.projector(i) for i in range(d)]
-        for got, want in zip(cls.projectors, projectors):
-            assert np.array_equal(got, want)
         for k, op in enumerate(cls.operators):
             assert np.array_equal(op, sum(c[k, i] * projectors[i] for i in range(d)))
 

@@ -206,6 +206,11 @@ def _repeat_basis_label(family, operators):
     return "repeats basis label B1"
 
 
+def _unknown_class_label(family, operators):
+    operators["classes"][1]["basis_label"] = "B9"
+    return "operator class references unknown basis B9"
+
+
 def _repeat_class_label(family, operators):
     operators["classes"][1]["basis_label"] = "B1"
     return "repeats class label B1"
@@ -286,7 +291,8 @@ def _class_entry_without_operators(family, operators):
 
 
 @pytest.mark.parametrize("edit", [_drop_one_name, _drop_one_class, _reverse_classes,
-                                  _repeat_basis_label, _repeat_class_label, _path_basis_label,
+                                  _repeat_basis_label, _unknown_class_label,
+                                  _repeat_class_label, _path_basis_label,
                                   _operator_dim_mismatch,
                                   _fractional_family_dim, _float_operator_dim,
                                   _string_basis_list, _object_class_list,
@@ -540,6 +546,12 @@ def test_tomo_invalid_shots(capsys):
         assert data["error"] == "invalid" and "2**63 - 1" in data["message"]
 
 
+def test_tomo_negative_trials_refused(capsys):
+    code, data = run_json(capsys, "tomo", "--dim", "3", "--trials", "-1")
+    assert code == EXIT_UNSUPPORTED
+    assert data["error"] == "invalid" and "--trials must be nonnegative" in data["message"]
+
+
 def test_tomo_dimension_six_refused(capsys):
     code, data = run_json(capsys, "tomo", "--dim", "6")
     assert code == EXIT_UNSUPPORTED
@@ -579,6 +591,23 @@ def test_closed_stdout_exits_io_without_traceback(argv, lines):
     stderr = proc.communicate(timeout=60)[1]
     assert head == [b"== dimension 2 ==\n"][:lines]
     assert (proc.returncode, stderr.decode()) == (EXIT_IO, "")
+
+
+@pytest.mark.parametrize("argv", [("tables",), ("operators", "--dim", "3")],
+                         ids=["tables", "operators"])
+def test_stdout_closed_before_start_exits_io_without_traceback(argv):
+    # the read end is closed before the process starts, so its first write fails
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mubkit.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (EXIT_IO, "")
 
 
 def test_unknown_subcommand_exits_two():

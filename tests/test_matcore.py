@@ -116,6 +116,19 @@ def test_matrix_from_json_rejects_malformed(mutate):
         matrix_from_json(data)
 
 
+MATCORE_REFUSALS = {
+    "root-of-unity-order-0": (lambda: root_of_unity(0),
+                              "order must be a positive integer, got 0"),
+    "matrix-json-not-object": (lambda: matrix_from_json([1]), "matrix JSON must be an object"),
+}
+
+
+@pytest.mark.parametrize("call, message", MATCORE_REFUSALS.values(), ids=MATCORE_REFUSALS)
+def test_matcore_refuses_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_json_int_accepts_only_integers():
     assert json_int(3, "dim") == 3
     assert json_int(-2, "dim") == -2

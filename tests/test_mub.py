@@ -209,6 +209,28 @@ def test_out_of_range_dimensions_refused(constructor, d):
     assert err.value.dim == d
 
 
+MUB_REFUSALS = {
+    "family-basis-dim": (lambda: MubFamily(3, family_for(3).bases[:3]
+                                           + (Basis(4, np.eye(4), "B4"),)),
+                         "basis 'B4' has dimension 4, expected 3"),
+    "transform-shape": (lambda: BasisTransform(3, np.eye(2)),
+                        r"transform must be 3x3, got \(2, 2\)"),
+    "canonical-d1": (lambda: canonical_basis(1), "dimension must be >= 2, got 1"),
+    "fourier-d1": (lambda: fourier_basis(1), "dimension must be >= 2, got 1"),
+    "twist-d1": (lambda: one_axis_twist(1, 0.5), "dimension must be >= 2, got 1"),
+    "unbiased-dims": (lambda: check_unbiased(canonical_basis(2), canonical_basis(3)),
+                      "dimension mismatch: 2 vs 3"),
+    "unitary-dims": (lambda: unitary_between(canonical_basis(2), canonical_basis(3)),
+                     "dimension mismatch: 2 vs 3"),
+}
+
+
+@pytest.mark.parametrize("call, message", MUB_REFUSALS.values(), ids=MUB_REFUSALS)
+def test_mub_constructors_and_checks_refuse_bad_dimensions(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_check_unbiased_detects_failure():
     basis = canonical_basis(3)
     result = check_unbiased(basis, basis, 1e-10)

@@ -240,6 +240,8 @@ def test_spherical_tensor_invalid_rank_component():
         spherical_tensor(1, -1)
     with pytest.raises(ValueError):
         spherical_tensor(1, 1, 2)  # |q| > k
+    with pytest.raises(ValueError, match="spin must be nonnegative, got -1"):
+        spherical_tensor(-1, 0)
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 3, 4, 5])

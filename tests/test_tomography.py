@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubkit.classes import build_set
+from mubkit.classes import build_set, coefficient_vectors
 from mubkit.mub import builtin_family, family_for
 from mubkit.tomography import (
     MeasurementRecord,
@@ -218,6 +218,36 @@ def test_fidelity_rejects_mixed_reference():
         fidelity(rho, np.array([np.nan, 1.0, 0.0]))
     with pytest.raises(ValueError, match="does not fit dimension 3"):
         fidelity(rho, np.ones(2))
+
+
+def _exact_record(d):
+    return probabilities(np.eye(d) / d, family_for(d))
+
+
+TOMOGRAPHY_REFUSALS = {
+    "coefficients-dim": (lambda: coefficients(np.eye(2) / 2, build_set(family_for(3))),
+                         r"dimension mismatch: state \(2, 2\) vs set dim 3"),
+    "reconstruct-count": (lambda: reconstruct(np.zeros(3), build_set(family_for(3))),
+                          "expected 8 coefficients, got 3"),
+    "probabilities-dim": (lambda: probabilities(np.eye(2) / 2, family_for(3)),
+                          r"dimension mismatch: state \(2, 2\) vs family dim 3"),
+    "from-probabilities-dim": (lambda: coefficients_from_probabilities(
+                                   _exact_record(3), coefficient_vectors(2)),
+                               "dimension mismatch: record 3 vs coefficients 2"),
+    "random-density-d1": (lambda: random_density(1, 0), "dimension must be >= 2, got 1"),
+    "trace-distance-shapes": (lambda: trace_distance(np.eye(2), np.eye(3)),
+                              r"shape mismatch: \(2, 2\) vs \(3, 3\)"),
+    "reconstruct-record-dim": (lambda: reconstruct_from_record(_exact_record(3),
+                                                               build_set(family_for(2))),
+                               "dimension mismatch: record 3 vs set 2"),
+    "project-psd-collapse": (lambda: project_psd(-np.eye(2)), "projection collapsed to zero"),
+}
+
+
+@pytest.mark.parametrize("call, message", TOMOGRAPHY_REFUSALS.values(), ids=TOMOGRAPHY_REFUSALS)
+def test_tomography_refuses_mismatched_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_project_psd_restores_state():

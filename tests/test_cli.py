@@ -572,19 +572,23 @@ def test_tables_contains_reference_blocks(capsys):
     assert out2 == out
 
 
+def _src_env():
+    """The environment with this checkout's src first on PYTHONPATH, for a child process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 @pytest.mark.parametrize("argv, lines", [(("tables",), 1), (("mub", "--dim", "3"), 0)],
                          ids=["tables-after-one-line", "mub-before-output"])
 def test_closed_stdout_exits_io_without_traceback(argv, lines):
     # the reader takes `lines` lines and closes the pipe. A 4096-byte pipe
     # holds back most of the 21 kB tables output until then; the mub payload
     # is written only by the final flush, after the pipe is closed
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     read_end, write_end = os.pipe()
     fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
     proc = subprocess.Popen([sys.executable, "-m", "mubkit.cli", *argv],
-                            stdout=write_end, stderr=subprocess.PIPE, env=env)
+                            stdout=write_end, stderr=subprocess.PIPE, env=_src_env())
     os.close(write_end)
     with os.fdopen(read_end, "rb") as reader:
         head = [reader.readline() for _ in range(lines)]
@@ -597,14 +601,11 @@ def test_closed_stdout_exits_io_without_traceback(argv, lines):
                          ids=["tables", "operators"])
 def test_stdout_closed_before_start_exits_io_without_traceback(argv):
     # the read end is closed before the process starts, so its first write fails
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-m", "mubkit.cli", *argv], stdout=write_end,
-                              stderr=subprocess.PIPE, env=env, timeout=60)
+                              stderr=subprocess.PIPE, env=_src_env(), timeout=60)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr.decode()) == (EXIT_IO, "")

@@ -156,11 +156,11 @@ def build_class(basis: Basis, coeffs: CoefficientVectors) -> CommutingClass:
     return CommutingClass(basis.label, tuple(_operators(basis.matrix[np.newaxis], coeffs)[0]))
 
 
-def build_set(family: MubFamily, tol: float = DEFAULT_TOL) -> OperatorSet:
+def build_set(family: MubFamily) -> OperatorSet:
     """One class per basis, all sharing coefficient_vectors(d); flat order is
-    class-major with classes in family order. The family must certify first.
+    class-major in family order. The family must certify at DEFAULT_TOL first.
     """
-    report = check_family(family, tol)
+    report = check_family(family)
     if not report.passed:
         worst = max(r.worst_deviation for r in report)
         raise ValueError(f"family fails MUB verification (worst deviation {worst:.3e})")

@@ -215,15 +215,14 @@ def _radical(mag: float) -> str | None:
 
 
 def _phase_candidates(dim: int) -> list[tuple[complex, str]]:
+    # order matters: _format_entry names a value by the first phase that makes it real
     candidates = [(1 + 0j, ""), (1j, "i")]
-    if dim not in (2, 4):
-        # powers of w = exp(2*pi*i/d); for d = 2, 4 these are just +-1, +-i
-        for p in range(1, dim):
-            name = "w" if p == 1 else f"w^{p}"
-            candidates.append((root_of_unity(dim, p), name))
-        for p in range(1, dim):
-            name = "i*w" if p == 1 else f"i*w^{p}"
-            candidates.append((1j * root_of_unity(dim, p), name))
+    for p in range(1, dim):
+        name = "w" if p == 1 else f"w^{p}"
+        candidates.append((root_of_unity(dim, p), name))
+    for p in range(1, dim):
+        name = "i*w" if p == 1 else f"i*w^{p}"
+        candidates.append((1j * root_of_unity(dim, p), name))
     return candidates
 
 
@@ -252,25 +251,6 @@ def _format_matrix(matrix: np.ndarray, dim: int) -> list[str]:
     cells = [[_format_entry(v, dim) for v in row] for row in np.asarray(matrix)]
     width = max(len(c) for row in cells for c in row)
     return ["  ".join(c.rjust(width) for c in row) for row in cells]
-
-
-def _print_tables(stream) -> None:
-    for dim in BUILTIN_DIMS:
-        family = builtin_family(dim)
-        opset = build_set(family)
-        stream.write(f"== dimension {dim} ==\n")
-        if dim > 2:
-            stream.write(f"(w = exp(2*pi*i/{dim}))\n")
-        for basis in family.bases:
-            stream.write(f"\nbasis {basis.label} (columns are basis vectors):\n")
-            for line in _format_matrix(basis.matrix, dim):
-                stream.write(f"  {line}\n")
-        prefix = _TABLE_NAMES[dim]
-        for k, op in enumerate(opset.operators, start=1):
-            stream.write(f"\n{prefix}_{k}:\n")
-            for line in _format_matrix(op, dim):
-                stream.write(f"  {line}\n")
-        stream.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +285,7 @@ def cmd_mub(args: argparse.Namespace) -> int:
 def cmd_operators(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
     family = family_for(args.dim)
-    opset = build_set(family, tol)
+    opset = build_set(family)
     report = verify_set(opset, tol)
     files = None
     if args.out is not None:
@@ -413,7 +393,23 @@ def cmd_tomo(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    _print_tables(sys.stdout)
+    write = sys.stdout.write
+    for dim in BUILTIN_DIMS:
+        family = builtin_family(dim)
+        opset = build_set(family)
+        write(f"== dimension {dim} ==\n")
+        if dim > 2:
+            write(f"(w = exp(2*pi*i/{dim}))\n")
+        for basis in family.bases:
+            write(f"\nbasis {basis.label} (columns are basis vectors):\n")
+            for line in _format_matrix(basis.matrix, dim):
+                write(f"  {line}\n")
+        prefix = _TABLE_NAMES[dim]
+        for k, op in enumerate(opset.operators, start=1):
+            write(f"\n{prefix}_{k}:\n")
+            for line in _format_matrix(op, dim):
+                write(f"  {line}\n")
+        write("\n")
     return EXIT_PASS
 
 

@@ -141,6 +141,14 @@ def json_int(value, field: str) -> int:
     return int(value)
 
 
+def dimension(d) -> int:
+    """d under json_int's rule, refused below 2."""
+    d = json_int(d, "dimension")
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
+    return d
+
+
 def json_str(value, field: str) -> str:
     """value if it is a string; a number or any other JSON value is refused, not converted."""
     if not isinstance(value, str):

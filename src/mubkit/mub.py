@@ -31,8 +31,10 @@ from .matcore import (
     CheckResult,
     VerificationReport,
     as_matrix,
+    dimension,
     frozen,
     json_int,
+    json_str,
     root_of_unity,
     validate_tolerance,
 )
@@ -106,6 +108,7 @@ class Basis:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", json_int(self.dim, "dimension"))
+        json_str(self.label, "basis label")
         m = frozen(as_matrix(self.matrix), np.complex128)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"basis matrix must be {self.dim}x{self.dim}, got {m.shape}")
@@ -168,6 +171,8 @@ class BasisTransform:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", json_int(self.dim, "dimension"))
+        for label in (self.source_label, self.target_label):
+            json_str(label, "basis label")
         m = frozen(as_matrix(self.matrix), np.complex128)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"transform must be {self.dim}x{self.dim}, got {m.shape}")
@@ -179,17 +184,13 @@ class BasisTransform:
 
 def canonical_basis(d: int) -> Basis:
     """Columns of the identity (the |j m> basis, m-descending), labelled B1."""
-    d = json_int(d, "dimension")
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = dimension(d)
     return Basis(d, np.eye(d, dtype=np.complex128), "B1")
 
 
 def fourier_basis(d: int) -> Basis:
     """Discrete Fourier basis, labelled B2: column j has components w^(jk)/sqrt(d)."""
-    d = json_int(d, "dimension")
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = dimension(d)
     return Basis(d, _quadratic_phases(d, 0), "B2")
 
 
@@ -211,9 +212,7 @@ def one_axis_twist(d: int, t: float) -> BasisTransform:
     """One-axis twisting unitary exp(-i Jz^2 t): diagonal phases exp(-i m^2 t)
     in the canonical basis, m = j..-j with j = (d-1)/2.
     """
-    d = json_int(d, "dimension")
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = dimension(d)
     tj = d - 1
     m = (tj - 2.0 * np.arange(d)) / 2.0
     phases = np.exp(-1j * (m * m) * float(t))

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import CoefficientVectors, OperatorSet
-from .matcore import _json_number, as_matrix, frozen, json_int, json_str, read_json, write_json
+from .matcore import (_json_number, as_matrix, dimension, frozen, json_int, json_str, read_json,
+                      write_json)
 from .mub import MubFamily
 
 __all__ = [
@@ -72,8 +73,9 @@ class MeasurementRecord:
         if p.ndim != 2 or p.shape[1] != self.dim or p.shape[0] != len(self.labels):
             raise ValueError(f"probability array shape {p.shape} does not match "
                              f"{len(self.labels)} bases of dimension {self.dim}")
-        # one pass each; NaN propagates into both; initial=0.0 admits an empty array
-        lo, hi = p.min(initial=0.0), p.max(initial=0.0)
+        if p.size == 0:
+            raise ValueError(f"a record needs at least one probability, got shape {p.shape}")
+        lo, hi = p.min(), p.max()  # one pass each; NaN propagates into both
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("probabilities must be finite")
         if lo < -1e-12 or hi > 1 + 1e-12:
@@ -210,9 +212,7 @@ def sample_shots(record: MeasurementRecord, n: int, seed: int) -> MeasurementRec
 
 def random_density(d: int, seed: int) -> np.ndarray:
     """Ginibre-distributed density matrix G G^dag / Tr(G G^dag)."""
-    d = json_int(d, "dimension")
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = dimension(d)
     rng = _stream(seed, 0)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T

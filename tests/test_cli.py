@@ -11,9 +11,17 @@ import numpy as np
 import pytest
 
 from mubkit.classes import build_set
-from mubkit.cli import EXIT_FAIL, EXIT_IO, EXIT_PASS, EXIT_UNSUPPORTED, main
+from mubkit.cli import (
+    EXIT_FAIL,
+    EXIT_IO,
+    EXIT_PASS,
+    EXIT_UNSUPPORTED,
+    _read_export,
+    _write_family,
+    main,
+)
 from mubkit.matcore import matrix_from_json, write_matrix
-from mubkit.mub import family_for
+from mubkit.mub import family_for, odd_prime_family
 from mubkit.tomography import (
     derive_seed,
     probabilities,
@@ -110,6 +118,28 @@ def test_verify_tolerance_from_environment(tmp_path, capsys, monkeypatch):
     code, report = run_json(capsys, "verify", "--in", str(out))
     assert code == EXIT_UNSUPPORTED
     assert report["error"] == "invalid"
+
+
+@pytest.mark.parametrize("via", ["flag", "environment"])
+@pytest.mark.parametrize("argv", [("mub", "--dim", "3"), ("operators", "--dim", "3"),
+                                  ("verify", "--in", "ops3")], ids=["mub", "operators", "verify"])
+def test_strict_tolerance_fails_the_report_on_every_subcommand(tmp_path, capsys, monkeypatch,
+                                                               argv, via):
+    # a tolerance below rounding grades the report; it is no precondition of building the set
+    monkeypatch.chdir(tmp_path)
+    assert run_json(capsys, "operators", "--dim", "3", "--out", "ops3")[0] == EXIT_PASS
+    code, usual = run_json(capsys, *argv)
+    assert code == EXIT_PASS
+    if via == "flag":
+        argv = ("--tol", "1e-17", *argv)
+    else:
+        monkeypatch.setenv("MUBKIT_TOL", "1e-17")
+    code, strict = run_json(capsys, *argv)
+    assert (code, strict["pass"], strict["tolerance"]) == (EXIT_FAIL, False, 1e-17)
+    assert [c["check"] for c in strict["checks"]] == [c["check"] for c in usual["checks"]]
+    graded = ("tolerance", "checks", "pass")
+    assert ({k: v for k, v in strict.items() if k not in graded}
+            == {k: v for k, v in usual.items() if k not in graded})
 
 
 def test_invalid_tolerance_flag(capsys):
@@ -369,6 +399,24 @@ def test_verify_rejects_matrix_entry_that_is_not_a_number(tmp_path, capsys, part
     assert code == EXIT_IO
     assert data == {"error": "io", "message": "op_B2_k1.json: malformed matrix JSON entry "
                                               f"(0,0): not a JSON number: {value!r}"}
+
+
+# every family the library builds for a supported d, and every generated one
+FAMILY_DIMS = (2, 3, 4, 5, 7, 11, 13, 17, 19, 23)
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+
+
+@pytest.mark.parametrize("make, d", [(family_for, d) for d in FAMILY_DIMS]
+                         + [(odd_prime_family, p) for p in ODD_PRIMES],
+                         ids=[f"family_for-{d}" for d in FAMILY_DIMS]
+                         + [f"odd_prime_family-{p}" for p in ODD_PRIMES])
+def test_family_export_reads_back_bit_for_bit(tmp_path, make, d):
+    family = make(d)
+    _write_family(tmp_path, family)
+    back, opset = _read_export(tmp_path)
+    assert opset is None
+    assert back.labels == family.labels
+    assert back.array.tobytes() == family.array.tobytes()
 
 
 def test_verify_operators_without_family_is_io_error(tmp_path, capsys):

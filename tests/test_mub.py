@@ -344,6 +344,24 @@ def test_family_refuses_repeated_label():
         MubFamily(3, bases)
 
 
+LABEL_REFUSALS = {
+    "basis-int": lambda: Basis(3, np.eye(3), 0),
+    "basis-none": lambda: Basis(3, np.eye(3), None),
+    "transform-source": lambda: BasisTransform(3, np.eye(3), 1, "B2"),
+    "transform-target": lambda: BasisTransform(3, np.eye(3), "B1", ["B2"]),
+    # numbered like a family's bases, which an export writes and no reader accepts
+    "family-of-numbered-bases": lambda: MubFamily(3, tuple(
+        Basis(3, b.matrix, i) for i, b in enumerate(family_for(3).bases))),
+}
+
+
+@pytest.mark.parametrize("call", LABEL_REFUSALS.values(), ids=LABEL_REFUSALS)
+def test_basis_labels_must_be_strings(call):
+    # the rule a record label, a family manifest and an operator manifest follow
+    with pytest.raises(ValueError, match="^basis label must be a string, got "):
+        call()
+
+
 def test_basis_matrix_read_only():
     basis = canonical_basis(3)
     with pytest.raises(ValueError):

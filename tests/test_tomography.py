@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -360,6 +361,11 @@ def test_measurement_record_validation(tmp_path):
     for labels in ((1, 2, 3), ("B1", None, "B3"), ("B1", "B2", ["B3"])):
         with pytest.raises(ValueError, match="^basis label must be a string, got "):
             MeasurementRecord(2, labels, good)
+    # a record with no probabilities is refused by name, not by a numpy reduction
+    for dim, labels, probs in ((3, (), np.zeros((0, 3))), (0, ("B1",), np.zeros((1, 0)))):
+        with pytest.raises(ValueError, match="^a record needs at least one probability, got "
+                                             + re.escape(f"shape {probs.shape}") + "$"):
+            MeasurementRecord(dim, labels, probs)
     record = MeasurementRecord(np.int64(2), ["B1", "B2", "B3"], good, shots=np.int64(1000))
     assert type(record.dim) is int and type(record.shots) is int
     assert record.labels == ("B1", "B2", "B3")

@@ -69,22 +69,26 @@ class CommutingClass:
     operators: tuple[np.ndarray, ...]
     projectors: None = None  # unused: a class's projectors are its basis columns
 
+    def __array__(self, dtype=None, copy=None):
+        """The operators as one (d-1, d, d) array: a tuple of classes stacks to a set's array."""
+        return np.array(self.operators, dtype=dtype)
+
 
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
     """All d+1 classes of a family, flat view class-major.
 
-    Class i belongs to basis i of the family: exactly d+1 classes, each of
-    d-1 operators of shape (d, d), in family order. The operators are stored
-    once, as the read-only complex array ``array[i, k]`` = operator k of
-    class i; each class's ``operators`` are views of it. No array a set reaches is writable.
+    The operators are stored once, as the read-only complex array
+    ``array[i, k]`` = operator k of class i, of shape (d+1, d-1, d, d): class i
+    belongs to basis i of the family, in family order. ``array`` may be given
+    as any array-like of that shape, a tuple of classes included. No array a
+    set reaches is writable.
     """
 
     dim: int
-    classes: tuple[CommutingClass, ...]
+    array: np.ndarray = field(repr=False)  # shape (d+1, d-1, d, d)
     family: MubFamily
     coefficients: CoefficientVectors
-    array: np.ndarray = field(init=False, repr=False)  # shape (d+1, d-1, d, d)
 
     def __post_init__(self):
         d = json_int(self.dim, "dimension")
@@ -94,24 +98,19 @@ class OperatorSet:
         if self.coefficients.dim != d:
             raise ValueError(f"coefficient dimension {self.coefficients.dim} does not match "
                              f"set dimension {d}")
-        if len(self.classes) != d + 1:
-            raise ValueError(f"an operator set in dimension {d} needs {d + 1} classes, "
-                             f"got {len(self.classes)}")
-        for cls, label in zip(self.classes, self.family.labels):
-            if cls.basis_label != label:
-                raise ValueError(f"class {cls.basis_label!r} stands where basis {label!r} "
-                                 "is expected; classes must follow family order")
-            if len(cls.operators) != d - 1:
-                raise ValueError(f"class {label!r} needs {d - 1} operators, "
-                                 f"got {len(cls.operators)}")
-            for op in cls.operators:
-                if np.shape(op) != (d, d):
-                    raise ValueError(f"class {label!r} has an operator of shape "
-                                     f"{np.shape(op)}, expected {(d, d)}")
-        a = frozen([cls.operators for cls in self.classes], np.complex128)
+        a = frozen(self.array, np.complex128)
+        if a.shape != (d + 1, d - 1, d, d):
+            raise ValueError(f"an operator set in dimension {d} needs an array of shape "
+                             f"{(d + 1, d - 1, d, d)}, got {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite (no NaN/Inf)")
         object.__setattr__(self, "array", a)
-        object.__setattr__(self, "classes", tuple(
-            CommutingClass(cls.basis_label, tuple(a[i])) for i, cls in enumerate(self.classes)))
+
+    @property
+    def classes(self) -> tuple[CommutingClass, ...]:
+        """Class i as basis i's label and read-only views of ``array[i]``."""
+        return tuple(CommutingClass(label, tuple(ops))
+                     for label, ops in zip(self.family.labels, self.array))
 
     @property
     def operators(self) -> tuple[np.ndarray, ...]:
@@ -165,9 +164,7 @@ def build_set(family: MubFamily) -> OperatorSet:
         worst = max(r.worst_deviation for r in report)
         raise ValueError(f"family fails MUB verification (worst deviation {worst:.3e})")
     coeffs = coefficient_vectors(family.dim)
-    classes = tuple(CommutingClass(label, tuple(ops))
-                    for label, ops in zip(family.labels, _operators(family.array, coeffs)))
-    return OperatorSet(family.dim, classes, family, coeffs)
+    return OperatorSet(family.dim, _operators(family.array, coeffs), family, coeffs)
 
 
 def conjugate_class(cls: CommutingClass, transform: BasisTransform) -> CommutingClass:
@@ -208,8 +205,8 @@ def verify_set(s: OperatorSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     tol = validate_tolerance(tol)
     d = s.dim
     m = d - 1
-    n = len(s.classes)
     a = s.array
+    n = a.shape[0]
     results = []
 
     dev = float(np.abs(a - a.conj().swapaxes(-1, -2)).max())

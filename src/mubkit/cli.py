@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .classes import (
-    CommutingClass,
     OperatorSet,
     build_set,
     coefficient_vectors,
@@ -135,9 +134,9 @@ def _write_family(out: Path, family: MubFamily) -> list[str]:
 
 
 def _write_operator_set(out: Path, opset: OperatorSet) -> list[str]:
-    classes = [{"basis_label": cls.basis_label,
-                "operators": [f"op_{cls.basis_label}_k{k}.json" for k in range(1, opset.dim)]}
-               for cls in opset.classes]
+    classes = [{"basis_label": label,
+                "operators": [f"op_{label}_k{k}.json" for k in range(1, opset.dim)]}
+               for label in opset.family.labels]
     matrices = dict(zip([name for c in classes for name in c["operators"]], opset.operators))
     return _write_export(out, matrices, _OPERATORS_FILE, {"dim": opset.dim, "classes": classes})
 
@@ -178,19 +177,20 @@ def _read_export(src: Path) -> tuple[MubFamily, OperatorSet | None]:
     if set_dim != dim:
         raise ValueError(f"operator manifest dimension {set_dim} does not match"
                          f" family dimension {dim}")
-    classes = []
-    for entry in entries:
-        label = json_str(entry["basis_label"], "basis_label")
-        names = [json_str(n, "operator file name")
-                 for n in _json_list(entry["operators"], "operators")]
-        if label not in labels:
-            raise ValueError(f"operator class references unknown basis {label}")
-        if any(cls.basis_label == label for cls in classes):
-            raise ValueError(f"operator manifest repeats class label {label}")
-        classes.append(CommutingClass(label, tuple(_read_matrices(src, names, dim))))
     if dim > MAX_DIM:
         raise _Refused(f"dimension must satisfy 2 <= d <= {MAX_DIM}, got {dim}")
-    return family, OperatorSet(dim, tuple(classes), family, coefficient_vectors(dim))
+    class_labels = [json_str(entry["basis_label"], "basis_label") for entry in entries]
+    if class_labels != labels:
+        raise ValueError(f"operator classes {class_labels} must name the family's bases"
+                         f" {labels}, in order")
+    operators = []
+    for entry, label in zip(entries, labels):
+        names = [json_str(n, "operator file name")
+                 for n in _json_list(entry["operators"], "operators")]
+        if len(names) != dim - 1:
+            raise ValueError(f"class {label!r} needs {dim - 1} operators, got {len(names)}")
+        operators.append(_read_matrices(src, names, dim))
+    return family, OperatorSet(dim, operators, family, coefficient_vectors(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -271,34 +271,31 @@ def _emit_report(command: str, dim: int, fields: dict, tol: float,
 
 
 def cmd_mub(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
     if args.source == "builtin":
         family = builtin_family(args.dim)
     else:
         family = odd_prime_family(args.dim)
-    report = check_family(family, tol)
+    report = check_family(family, args.tol)
     files = None if args.out is None else _write_family(Path(args.out), family)
     return _emit_report("mub", family.dim, {"source": args.source, "bases": list(family.labels)},
-                        tol, report, args.out, files)
+                        args.tol, report, args.out, files)
 
 
 def cmd_operators(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
     family = family_for(args.dim)
     opset = build_set(family)
-    report = verify_set(opset, tol)
+    report = verify_set(opset, args.tol)
     files = None
     if args.out is not None:
         out = Path(args.out)
         files = _write_operator_set(out, opset) + _write_family(out, family)
         write_json(out / _REPORT_FILE, report.to_dicts())
         files.append(_REPORT_FILE)
-    fields = {"operator_count": len(opset), "classes": [cls.basis_label for cls in opset.classes]}
-    return _emit_report("operators", opset.dim, fields, tol, report, args.out, files)
+    fields = {"operator_count": len(opset), "classes": list(family.labels)}
+    return _emit_report("operators", opset.dim, fields, args.tol, report, args.out, files)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
     try:
         family, opset = _read_export(Path(getattr(args, "in")))
     except (KeyError, TypeError, ValueError) as exc:
@@ -306,10 +303,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # reading one, which _run answers with exit 3
         bare = isinstance(exc, (KeyError, TypeError))  # a missing field, a non-object entry
         raise OSError(f"malformed manifest: {exc!r}" if bare else str(exc)) from exc
-    results = check_family(family, tol).results
+    results = check_family(family, args.tol).results
     if opset is not None:
-        results += verify_set(opset, tol).results
-    return _emit_report("verify", family.dim, {}, tol, VerificationReport(results))
+        results += verify_set(opset, args.tol).results
+    return _emit_report("verify", family.dim, {}, args.tol, VerificationReport(results))
 
 
 def _tensor_filename(k: int, q: int) -> str:
@@ -479,8 +476,10 @@ def main(argv=None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    """args.func(args); each refusal is printed as an error payload and mapped to its exit code."""
+    """args.func(args) with args.tol resolved; each refusal is printed as an error payload
+    and mapped to its exit code."""
     try:
+        args.tol = _resolve_tol(args)
         return args.func(args)
     except UnsupportedDimensionError as exc:
         _emit_error("unsupported", str(exc), dim=exc.dim)

@@ -48,7 +48,6 @@ __all__ = [
     "builtin_family",
     "canonical_basis",
     "check_family",
-    "check_unbiased",
     "family_for",
     "fourier_basis",
     "odd_prime_family",
@@ -299,16 +298,6 @@ def _overlaps(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ordered pair, and the worst | |<a_i|b_j>|^2 - 1/d | of each block."""
     g = m.conj().transpose(0, 2, 1)[:, np.newaxis] @ m
     return g, np.abs(np.abs(g) ** 2 - 1.0 / m.shape[-1]).max(axis=(2, 3))
-
-
-def check_unbiased(a: Basis, b: Basis, tol: float = DEFAULT_TOL) -> CheckResult:
-    """Worst deviation of | |<a_i|b_j>|^2 - 1/d | over all vector pairs."""
-    tol = validate_tolerance(tol)
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    dev = float(_overlaps(np.array([a.matrix, b.matrix]))[1][0, 1])
-    name = f"unbiased({a.label or '?'},{b.label or '?'})"
-    return CheckResult(name, dev, dev <= tol)
 
 
 def check_family(f: MubFamily, tol: float = DEFAULT_TOL) -> VerificationReport:

@@ -237,10 +237,28 @@ def reachable_arrays(obj):
 @pytest.mark.parametrize("d", ALL_DIMS)
 def test_every_array_a_set_reaches_is_read_only(d):
     opset = build_set(family_for(d))
-    arrays = list(reachable_arrays(opset))
+    arrays = list(reachable_arrays(opset)) + list(reachable_arrays(opset.classes))
     # array and its operator views, family.array and its basis views, the coefficients
     assert len(arrays) == 1 + (d + 1) * (d - 1) + 1 + (d + 1) + 1
     assert not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMS)
+def test_classes_and_stack_build_the_same_set(d):
+    # a tuple of classes is an array-like of the set's shape, so both forms meet one check
+    opset = supported_set(d)
+    from_classes = OperatorSet(d, opset.classes, opset.family, opset.coefficients)
+    from_stack = OperatorSet(d, opset.array.copy(), opset.family, opset.coefficients)
+    assert from_classes.array.tobytes() == from_stack.array.tobytes() == opset.array.tobytes()
+    assert [c.basis_label for c in opset.classes] == list(opset.family.labels)
+
+
+def test_classes_take_the_family_labels():
+    # a class's label is its basis's: the set stores operators, not labels
+    opset = build_set(builtin_family(3))
+    renamed = tuple(CommutingClass(f"X{i}", c.operators) for i, c in enumerate(opset.classes))
+    s = OperatorSet(3, renamed, opset.family, opset.coefficients)
+    assert [c.basis_label for c in s.classes] == ["B1", "B2", "B3", "B4"]
 
 
 def test_classes_keep_no_projectors():
@@ -289,8 +307,12 @@ CLASS_REFUSALS = {
     "set-family-dim": (lambda: OperatorSet(3, supported_set(3).classes, family_for(5),
                                            supported_set(3).coefficients),
                        "family dimension 5 does not match set dimension 3"),
-    "set-operator-shape": (_operator_of_wrong_shape,
-                           r"class 'B2' has an operator of shape \(2, 2\), expected \(3, 3\)"),
+    # numpy refuses to stack a ragged set of operators
+    "set-operator-shape": (_operator_of_wrong_shape, "inhomogeneous shape"),
+    "set-array-shape": (lambda: OperatorSet(3, supported_set(3).array[:3], family_for(3),
+                                            supported_set(3).coefficients),
+                        r"an operator set in dimension 3 needs an array of shape "
+                        r"\(4, 2, 3, 3\), got \(3, 2, 3, 3\)"),
     "build-class-dim": (lambda: build_class(canonical_basis(5), coefficient_vectors(3)),
                         "dimension mismatch: basis 5 vs coefficients 3"),
     "conjugate-class-dim": (lambda: conjugate_class(supported_set(3).classes[0],
@@ -477,17 +499,17 @@ def test_verify_set_values_equal_per_class_reference(d, tamper):
     assert got == per_class_checks(opset)
 
 
-# classes 0 and 5 are the first and the last class at d = 5
+# classes 0 and 5 are the first and the last class at d = 5; a NaN or an inf
+# would pass into every estimate a set reconstructs, so no set holds one
 @pytest.mark.parametrize("index", [0, 5])
-def test_nan_operator_in_any_class_fails_within_class_commutation(index):
+def test_nan_operator_in_any_class_is_refused(index):
     opset = build_set(family_for(5))
-    ops = list(opset.classes[index].operators)
-    ops[1] = ops[1].copy()
-    ops[1][0, 1] = np.nan
-    result = verify_set(replace_class_operators(opset, index, ops)).result(
-        "within_class_commutation")
-    assert np.isnan(result.worst_deviation)
-    assert not result.passed
+    for bad in (np.nan, np.inf):
+        ops = list(opset.classes[index].operators)
+        ops[1] = ops[1].copy()
+        ops[1][0, 1] = bad
+        with pytest.raises(ValueError, match=r"matrix entries must be finite \(no NaN/Inf\)"):
+            replace_class_operators(opset, index, ops)
 
 
 def all_pairs_witness(s):

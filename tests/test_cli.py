@@ -148,6 +148,27 @@ def test_invalid_tolerance_flag(capsys):
     assert data["error"] == "invalid"
 
 
+@pytest.mark.parametrize("via", ["flag", "environment"])
+@pytest.mark.parametrize("argv", [("mub", "--dim", "3"), ("operators", "--dim", "3"),
+                                  ("verify", "--in", "ops3"),
+                                  ("tomo", "--dim", "3", "--trials", "1"),
+                                  ("tensors", "--two-j", "1", "--out", "tens1"), ("tables",)],
+                         ids=lambda argv: argv[0])
+def test_invalid_tolerance_refused_on_every_subcommand(tmp_path, capsys, monkeypatch, argv, via):
+    # the tolerance is resolved before any subcommand runs, so none of them writes or reads
+    monkeypatch.chdir(tmp_path)
+    if via == "flag":
+        argv = ("--tol", "-1", *argv)
+        message = "tolerance must lie in (0, 1), got -1.0"
+    else:
+        monkeypatch.setenv("MUBKIT_TOL", "junk")
+        message = "MUBKIT_TOL is not a number: 'junk'"
+    code, data = run_json(capsys, *argv)
+    assert (code, data["error"]) == (EXIT_UNSUPPORTED, "invalid")
+    assert message in data["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_missing_directory_contents(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -214,6 +235,10 @@ def test_verify_catches_tampered_operator(tmp_path, capsys):
     assert "eigen_relation" in failing
 
 
+# a missing, reordered, unknown or repeated class fails one comparison with the family's labels
+LABEL_ORDER = "operator classes {} must name the family's bases ['B1', 'B2', 'B3', 'B4'], in order"
+
+
 # each edit changes the family and operator manifests of a d = 3 export and
 # returns a fragment of the message `verify` must give
 def _drop_one_name(family, operators):
@@ -223,12 +248,12 @@ def _drop_one_name(family, operators):
 
 def _drop_one_class(family, operators):
     operators["classes"].pop()
-    return "needs 4 classes"
+    return LABEL_ORDER.format("['B1', 'B2', 'B3']")
 
 
 def _reverse_classes(family, operators):
     operators["classes"].reverse()
-    return "classes must follow family order"
+    return LABEL_ORDER.format("['B4', 'B3', 'B2', 'B1']")
 
 
 def _repeat_basis_label(family, operators):
@@ -238,12 +263,12 @@ def _repeat_basis_label(family, operators):
 
 def _unknown_class_label(family, operators):
     operators["classes"][1]["basis_label"] = "B9"
-    return "operator class references unknown basis B9"
+    return LABEL_ORDER.format("['B1', 'B9', 'B3', 'B4']")
 
 
 def _repeat_class_label(family, operators):
     operators["classes"][1]["basis_label"] = "B1"
-    return "repeats class label B1"
+    return LABEL_ORDER.format("['B1', 'B1', 'B3', 'B4']")
 
 
 def _operator_dim_mismatch(family, operators):

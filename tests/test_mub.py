@@ -17,7 +17,6 @@ from mubkit.mub import (
     builtin_family,
     canonical_basis,
     check_family,
-    check_unbiased,
     family_for,
     fourier_basis,
     odd_prime_family,
@@ -179,9 +178,6 @@ def test_check_family_equals_per_pair_loop(d):
     for f in (family, bad):
         got = [(r.check, r.worst_deviation, r.passed) for r in check_family(f)]
         assert got == reference_family_checks(f)
-        for a in f.bases:
-            for b in f.bases:
-                assert check_unbiased(a, b).worst_deviation == overlap_deviation(a.matrix, b.matrix)
     assert not check_family(bad).passed
 
 
@@ -218,8 +214,6 @@ MUB_REFUSALS = {
     "canonical-d1": (lambda: canonical_basis(1), "dimension must be >= 2, got 1"),
     "fourier-d1": (lambda: fourier_basis(1), "dimension must be >= 2, got 1"),
     "twist-d1": (lambda: one_axis_twist(1, 0.5), "dimension must be >= 2, got 1"),
-    "unbiased-dims": (lambda: check_unbiased(canonical_basis(2), canonical_basis(3)),
-                      "dimension mismatch: 2 vs 3"),
     "unitary-dims": (lambda: unitary_between(canonical_basis(2), canonical_basis(3)),
                      "dimension mismatch: 2 vs 3"),
 }
@@ -229,14 +223,6 @@ MUB_REFUSALS = {
 def test_mub_constructors_and_checks_refuse_bad_dimensions(call, message):
     with pytest.raises(ValueError, match=message):
         call()
-
-
-def test_check_unbiased_detects_failure():
-    basis = canonical_basis(3)
-    result = check_unbiased(basis, basis, 1e-10)
-    assert not result.passed
-    assert result.check == "unbiased(B1,B1)"
-    assert result.worst_deviation == pytest.approx(1 - 1 / 3)
 
 
 def test_check_family_flags_perturbed_member():

@@ -31,7 +31,6 @@ from .mub import MAX_DIM, Basis, BasisTransform, MubFamily, check_family
 from .tensors import tensor_diagonal
 
 __all__ = [
-    "CoefficientVectors",
     "CommutingClass",
     "OperatorSet",
     "build_class",
@@ -44,21 +43,6 @@ __all__ = [
 # cross-class pairs must contain at least one visibly non-commuting pair;
 # in practice the witness is O(1), so the floor is generous
 NONCOMMUTING_FLOOR = 1e-6
-
-
-@dataclass(frozen=True, eq=False)
-class CoefficientVectors:
-    """The d-1 projector-weight vectors: row k-1 is the diagonal of T(k, 0)."""
-
-    dim: int
-    vectors: np.ndarray  # shape (d-1, d), real
-
-    def __post_init__(self):
-        object.__setattr__(self, "dim", json_int(self.dim, "dimension"))
-        v = frozen(self.vectors, np.float64)
-        if v.shape != (self.dim - 1, self.dim):
-            raise ValueError(f"expected shape {(self.dim - 1, self.dim)}, got {v.shape}")
-        object.__setattr__(self, "vectors", v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,23 +72,29 @@ class OperatorSet:
     dim: int
     array: np.ndarray = field(repr=False)  # shape (d+1, d-1, d, d)
     family: MubFamily
-    coefficients: CoefficientVectors
+    coefficients: np.ndarray  # shape (d-1, d), real
 
     def __post_init__(self):
         d = json_int(self.dim, "dimension")
         object.__setattr__(self, "dim", d)
         if self.family.dim != d:
             raise ValueError(f"family dimension {self.family.dim} does not match set dimension {d}")
-        if self.coefficients.dim != d:
-            raise ValueError(f"coefficient dimension {self.coefficients.dim} does not match "
-                             f"set dimension {d}")
-        a = frozen(self.array, np.complex128)
-        if a.shape != (d + 1, d - 1, d, d):
-            raise ValueError(f"an operator set in dimension {d} needs an array of shape "
-                             f"{(d + 1, d - 1, d, d)}, got {a.shape}")
-        if not np.isfinite(a).all():
+        shape = (d + 1, d - 1, d, d)
+        need = f"an operator set in dimension {d} needs an array of shape {shape}"
+        try:
+            a = frozen(self.array, np.complex128)
+        except ValueError as exc:  # numpy refuses a ragged classes tuple
+            raise ValueError(f"{need}: {exc}") from exc
+        if a.shape != shape:
+            raise ValueError(f"{need}, got {a.shape}")
+        c = frozen(self.coefficients, np.float64)
+        if c.shape != (d - 1, d):
+            raise ValueError(f"an operator set in dimension {d} needs coefficients of shape "
+                             f"{(d - 1, d)}, got {c.shape}")
+        if not (np.isfinite(a).all() and np.isfinite(c).all()):
             raise ValueError("matrix entries must be finite (no NaN/Inf)")
         object.__setattr__(self, "array", a)
+        object.__setattr__(self, "coefficients", c)
 
     @property
     def classes(self) -> tuple[CommutingClass, ...]:
@@ -120,8 +110,9 @@ class OperatorSet:
         return self.array.shape[0] * self.array.shape[1]
 
 
-def coefficient_vectors(d: int) -> CoefficientVectors:
-    """Diagonals of T(k, 0), k = 1..d-1, for spin j = (d-1)/2.
+def coefficient_vectors(d: int) -> np.ndarray:
+    """Diagonals of T(k, 0), k = 1..d-1, for spin j = (d-1)/2, as the rows of
+    a read-only real (d-1, d) array.
 
     Each vector sums to zero, they are pairwise orthogonal, and vector k has
     squared norm d.
@@ -130,13 +121,13 @@ def coefficient_vectors(d: int) -> CoefficientVectors:
     if not 2 <= d <= MAX_DIM:
         raise ValueError(f"dimension must satisfy 2 <= d <= {MAX_DIM}, got {d}")
     j = (d - 1) / 2.0
-    return CoefficientVectors(d, np.array([tensor_diagonal(j, k) for k in range(1, d)]))
+    return frozen([tensor_diagonal(j, k) for k in range(1, d)], np.float64)
 
 
-def _operators(bases: np.ndarray, coeffs: CoefficientVectors) -> np.ndarray:
+def _operators(bases: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """For a stack of n bases: the operators ops[c, k] = sum_i coeffs[k][i]
     |b_i><b_i| of basis c, summed in order i = 0..d-1 for all classes at once."""
-    w = coeffs.vectors.astype(np.complex128)
+    w = coeffs.astype(np.complex128)
     n, d = bases.shape[:2]
     ops = np.zeros((n, d - 1, d, d), dtype=np.complex128)
     for i in range(d):
@@ -146,12 +137,13 @@ def _operators(bases: np.ndarray, coeffs: CoefficientVectors) -> np.ndarray:
     return ops
 
 
-def build_class(basis: Basis, coeffs: CoefficientVectors) -> CommutingClass:
+def build_class(basis: Basis, coeffs: np.ndarray) -> CommutingClass:
     """Operators A_k = sum_i coeffs[k][i] |b_i><b_i|; Hermitian and traceless
     by construction, commuting because they share the basis eigenvectors.
     """
-    if basis.dim != coeffs.dim:
-        raise ValueError(f"dimension mismatch: basis {basis.dim} vs coefficients {coeffs.dim}")
+    if basis.dim != coeffs.shape[-1]:
+        raise ValueError(f"dimension mismatch: basis {basis.dim} vs coefficients "
+                         f"{coeffs.shape[-1]}")
     return CommutingClass(basis.label, tuple(_operators(basis.matrix[np.newaxis], coeffs)[0]))
 
 
@@ -231,7 +223,7 @@ def verify_set(s: OperatorSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     results.append(CheckResult("within_class_commutation", dev, dev <= tol))
 
     bases = s.family.array
-    want = s.coefficients.vectors[np.newaxis, :, np.newaxis, :] * bases[:, np.newaxis]
+    want = s.coefficients[np.newaxis, :, np.newaxis, :] * bases[:, np.newaxis]
     got = (a.reshape(n, m * d, d) @ bases).reshape(n, m, d, d)
     dev = float(np.abs(got - want).max())
     results.append(CheckResult("eigen_relation", dev, dev <= tol))

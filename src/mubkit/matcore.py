@@ -7,7 +7,7 @@ from cos/sin of the reduced angle, never by repeated multiplication, so
 w**p is exact to 1 ulp for any power.
 
 The module also carries the package's one JSON file layout (write_json,
-read_json), the on-disk matrix format (see matrix_to_json) and the small
+read_json), the on-disk matrix format (see write_matrix) and the small
 CheckResult/VerificationReport containers used by every verification
 routine in the package.
 """
@@ -29,7 +29,6 @@ __all__ = [
     "CheckResult",
     "VerificationReport",
     "matrix_from_json",
-    "matrix_to_json",
     "read_matrix",
     "root_of_unity",
     "write_matrix",
@@ -164,17 +163,10 @@ def json_str(value, field: str) -> str:
 # json serializes floats via repr (shortest round-trip form), so a write/read
 # cycle reproduces every entry bit for bit. write_matrix renders a file from
 # one layout template with a %r slot per real and imaginary part, which gives
-# the same bytes as write_json(path, matrix_to_json(m)) without building the
-# dict or running json's pure-Python indenting encoder; a test pins the bytes.
+# the same bytes as write_json of the dict above without building the dict or
+# running json's pure-Python indenting encoder; a test pins the bytes against
+# a dict-building oracle kept in the tests.
 # Every entry read back must be a JSON number: strings and bools are refused.
-
-def matrix_to_json(m) -> dict:
-    m = as_matrix(m)
-    rows, cols = m.shape
-    data = [[{"re": float(m[i, j].real), "im": float(m[i, j].imag)} for j in range(cols)]
-            for i in range(rows)]
-    return {"rows": rows, "cols": cols, "data": data}
-
 
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
@@ -209,8 +201,8 @@ def _json_number(x) -> float:
 
 
 def _matrix_layout(rows: int, cols: int) -> str:
-    """json.dumps(matrix_to_json(m), indent=2) for an r x c matrix, with one %r
-    slot per real and imaginary part in row-major order."""
+    """json.dumps(indent=2) of the format's dict for an r x c matrix, with one
+    %r slot per real and imaginary part in row-major order."""
     cell = '      {\n        "re": %r,\n        "im": %r\n      }'
     row = "    [\n" + ",\n".join([cell] * cols) + "\n    ]"
     data = "[\n" + ",\n".join([row] * rows) + "\n  ]"
@@ -218,7 +210,7 @@ def _matrix_layout(rows: int, cols: int) -> str:
 
 
 def write_matrix(path, m) -> None:
-    """The bytes of write_json(path, matrix_to_json(m)), from one template."""
+    """The bytes write_json gives the format's dict for m, from one template."""
     m = np.ascontiguousarray(as_matrix(m))
     parts = m.view(np.float64).ravel().tolist()  # re, im interleaved; repr is json's
     Path(path).write_text(_matrix_layout(*m.shape) % tuple(parts), encoding="utf-8")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import CoefficientVectors, OperatorSet
+from .classes import OperatorSet
 from .matcore import (_json_number, as_matrix, dimension, frozen, json_int, json_str, read_json,
                       write_json)
 from .mub import MubFamily
@@ -126,6 +126,8 @@ def coefficients(rho, s: OperatorSet) -> np.ndarray:
 def reconstruct(coeffs, s: OperatorSet) -> np.ndarray:
     """rho = (1/d)(I + sum_i a_i A_i)."""
     a = np.asarray(coeffs, dtype=np.float64).ravel()
+    if not np.isfinite(a).all():
+        raise ValueError("coefficients must be finite (no NaN/Inf)")
     if a.size != len(s):
         raise ValueError(f"expected {len(s)} coefficients, got {a.size}")
     d = s.dim
@@ -146,14 +148,15 @@ def probabilities(rho, family: MubFamily) -> MeasurementRecord:
 
 
 def coefficients_from_probabilities(record: MeasurementRecord,
-                                    coeffs: CoefficientVectors) -> np.ndarray:
+                                    coeffs: np.ndarray) -> np.ndarray:
     """Recover the flat coefficient vector from measured distributions:
     class b, operator k gets sum_i c[k][i] p_i^(b). Matches coefficients()
     exactly on exact records.
     """
-    if record.dim != coeffs.dim:
-        raise ValueError(f"dimension mismatch: record {record.dim} vs coefficients {coeffs.dim}")
-    return (record.probs @ coeffs.vectors.T).ravel()
+    if record.dim != coeffs.shape[-1]:
+        raise ValueError(f"dimension mismatch: record {record.dim} vs coefficients "
+                         f"{coeffs.shape[-1]}")
+    return (record.probs @ coeffs.T).ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 
 from mubkit.classes import (
     NONCOMMUTING_FLOOR,
-    CoefficientVectors,
     CommutingClass,
     OperatorSet,
     build_class,
@@ -45,13 +44,14 @@ def test_coefficient_vectors_golden(d):
 
     j = (d - 1) / 2
     coeffs = coefficient_vectors(d)
-    assert coeffs.vectors.shape == (d - 1, d)
-    assert np.array_equal(coeffs.vectors, np.array([tensor_diagonal(j, k) for k in range(1, d)]))
+    assert type(coeffs) is np.ndarray and coeffs.dtype == np.float64
+    assert coeffs.shape == (d - 1, d) and not coeffs.flags.writeable
+    assert coeffs.tobytes() == np.array([tensor_diagonal(j, k) for k in range(1, d)]).tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 11, 26])
 def test_coefficient_vectors_traceless_orthogonal(d):
-    vectors = coefficient_vectors(d).vectors
+    vectors = coefficient_vectors(d)
     assert max_abs(vectors.sum(axis=1)) < 1e-10
     gram = vectors @ vectors.T
     assert max_abs(gram - d * np.eye(d - 1)) < 1e-9
@@ -67,18 +67,20 @@ def test_coefficient_vectors_dimension_bounds():
 def test_coefficient_vectors_read_only():
     coeffs = coefficient_vectors(3)
     with pytest.raises(ValueError):
-        coeffs.vectors[0, 0] = 1.0
+        coeffs[0, 0] = 1.0
 
 
 def test_coefficient_vectors_copy_the_callers_array():
-    v = np.array(coefficient_vectors(3).vectors)
+    # an operator set keeps a read-only copy of the coefficients it is given
+    opset = build_set(builtin_family(3))
+    v = np.array(coefficient_vectors(3))
     big = np.stack([v, v])
-    own, view = CoefficientVectors(3, v), CoefficientVectors(3, big[0])
+    own, view = (OperatorSet(3, opset.array, opset.family, c) for c in (v, big[0]))
     assert v.flags.writeable and big.flags.writeable
     v[0, 0] = big[0, 0, 0] = 7.0
-    for coeffs in (own, view):
-        assert coeffs.vectors[0, 0] == coefficient_vectors(3).vectors[0, 0]
-        assert not coeffs.vectors.flags.writeable
+    for s in (own, view):
+        assert s.coefficients[0, 0] == coefficient_vectors(3)[0, 0]
+        assert not s.coefficients.flags.writeable
 
 
 @pytest.mark.parametrize("d", ALL_DIMS)
@@ -218,7 +220,8 @@ def test_set_owns_its_array():
 
 def test_set_refuses_coefficients_of_another_dimension():
     opset = build_set(builtin_family(3))
-    with pytest.raises(ValueError, match="coefficient dimension 4 does not match set dimension 3"):
+    with pytest.raises(ValueError, match=r"an operator set in dimension 3 needs coefficients of "
+                                         r"shape \(2, 3\), got \(3, 4\)"):
         OperatorSet(3, opset.classes, opset.family, coefficient_vectors(4))
 
 
@@ -282,7 +285,6 @@ DIMENSION_CALLS = {
     "Basis": lambda d: Basis(d, np.eye(5)),
     "BasisTransform": lambda d: BasisTransform(d, np.eye(5)),
     "MubFamily": lambda d: MubFamily(d, family_for(5).bases),
-    "CoefficientVectors": lambda d: CoefficientVectors(d, coefficient_vectors(5).vectors),
     "OperatorSet": lambda d: OperatorSet(d, supported_set(5).classes, supported_set(5).family,
                                          supported_set(5).coefficients),
 }
@@ -308,7 +310,9 @@ CLASS_REFUSALS = {
                                            supported_set(3).coefficients),
                        "family dimension 5 does not match set dimension 3"),
     # numpy refuses to stack a ragged set of operators
-    "set-operator-shape": (_operator_of_wrong_shape, "inhomogeneous shape"),
+    "set-operator-shape": (_operator_of_wrong_shape,
+                           r"^an operator set in dimension 3 needs an array of shape "
+                           r"\(4, 2, 3, 3\): .*inhomogeneous shape"),
     "set-array-shape": (lambda: OperatorSet(3, supported_set(3).array[:3], family_for(3),
                                             supported_set(3).coefficients),
                         r"an operator set in dimension 3 needs an array of shape "
@@ -367,7 +371,7 @@ def reference_checks(s, tol=DEFAULT_TOL):
     dev = 0.0
     for cls, basis in zip(s.classes, s.family.bases):
         for k, op in enumerate(cls.operators):
-            want = s.coefficients.vectors[k][np.newaxis, :] * basis.matrix
+            want = s.coefficients[k][np.newaxis, :] * basis.matrix
             dev = max(dev, float(np.abs(op @ basis.matrix - want).max()))
     results.append(("eigen_relation", dev, dev <= tol))
 
@@ -443,7 +447,7 @@ def per_class_checks(s, tol=DEFAULT_TOL):
     dev = float(max(per_class_commutator_maxima(ops).max() for ops in a))
     results.append(("within_class_commutation", dev, dev <= tol))
     bases = s.family.array
-    want = s.coefficients.vectors[np.newaxis, :, np.newaxis, :] * bases[:, np.newaxis]
+    want = s.coefficients[np.newaxis, :, np.newaxis, :] * bases[:, np.newaxis]
     got = (a.reshape(n, m * d, d) @ bases).reshape(n, m, d, d)
     dev = float(np.abs(got - want).max())
     results.append(("eigen_relation", dev, dev <= tol))
@@ -465,7 +469,7 @@ def per_basis_classes(family, coeffs):
         proj = b[:, :, np.newaxis] * b.conj()[:, np.newaxis, :]
         acc = np.zeros((d - 1, d, d), dtype=np.complex128)
         for i in range(d):
-            acc += coeffs.vectors[:, i, np.newaxis, np.newaxis] * proj[i]
+            acc += coeffs[:, i, np.newaxis, np.newaxis] * proj[i]
         ops.append(acc)
     return np.array(ops)
 
@@ -512,6 +516,20 @@ def test_nan_operator_in_any_class_is_refused(index):
             replace_class_operators(opset, index, ops)
 
 
+# rows 0 and -1 are the first and the last coefficient vector; a set holding a
+# NaN or an inf weight would fail only its eigen-relation check and reconstruct
+# through a non-converging SVD, so no set holds one
+@pytest.mark.parametrize("row", [0, -1])
+@pytest.mark.parametrize("d", [3, 5])
+def test_non_finite_coefficients_are_refused(d, row):
+    opset = supported_set(d)
+    for bad in (np.nan, np.inf):
+        c = np.array(opset.coefficients)
+        c[row, 1] = bad
+        with pytest.raises(ValueError, match=r"matrix entries must be finite \(no NaN/Inf\)"):
+            OperatorSet(d, opset.array, opset.family, c)
+
+
 def all_pairs_witness(s):
     """Min over class pairs of the largest commutator entry over all operator pairs."""
     witness = np.inf
@@ -549,7 +567,7 @@ def test_verify_set_flags_commuting_first_operators(d):
 @pytest.mark.parametrize("d", ALL_DIMS + (13,))
 def test_build_set_equals_projector_sum(d):
     opset = build_set(family_for(d))
-    c = opset.coefficients.vectors
+    c = opset.coefficients
     for cls, basis in zip(opset.classes, opset.family.bases):
         projectors = [basis.projector(i) for i in range(d)]
         for k, op in enumerate(cls.operators):
@@ -559,7 +577,7 @@ def test_build_set_equals_projector_sum(d):
 def test_flat_ordering_is_class_major():
     d = 4
     opset = build_set(builtin_family(d))
-    coeffs = coefficient_vectors(d).vectors
+    coeffs = coefficient_vectors(d)
     # the first class is canonical, so its operators are the coefficient
     # vectors placed on the diagonal
     for k in range(d - 1):
@@ -569,13 +587,14 @@ def test_flat_ordering_is_class_major():
 def test_first_class_eigenvalues_descend_from_coefficients():
     d = 5
     opset = build_set(builtin_family(d))
-    coeffs = opset.coefficients.vectors
+    coeffs = opset.coefficients
     for k, op in enumerate(opset.classes[0].operators):
         assert np.allclose(np.diag(op).real, coeffs[k], atol=1e-12)
 
 
 def test_coefficient_container_validation():
-    with pytest.raises(ValueError):
-        CoefficientVectors(3, np.zeros((3, 3)))  # wrong row count
-    with pytest.raises(ValueError):
-        CoefficientVectors(3, np.zeros((2, 4)))
+    opset = build_set(builtin_family(3))
+    for shape in ((3, 3), (2, 4), (6,)):  # wrong row count, wrong dimension, flat
+        with pytest.raises(ValueError, match=r"an operator set in dimension 3 needs "
+                                             r"coefficients of shape \(2, 3\), got "):
+            OperatorSet(3, opset.array, opset.family, np.zeros(shape))

@@ -230,6 +230,11 @@ TOMOGRAPHY_REFUSALS = {
                          r"dimension mismatch: state \(2, 2\) vs set dim 3"),
     "reconstruct-count": (lambda: reconstruct(np.zeros(3), build_set(family_for(3))),
                           "expected 8 coefficients, got 3"),
+    # a NaN or inf coefficient would give a NaN estimate, not an error
+    "reconstruct-nan": (lambda: reconstruct([np.nan] * 8, build_set(family_for(3))),
+                        r"coefficients must be finite \(no NaN/Inf\)"),
+    "reconstruct-inf": (lambda: reconstruct([0.0] * 7 + [np.inf], build_set(family_for(3))),
+                        r"coefficients must be finite \(no NaN/Inf\)"),
     "probabilities-dim": (lambda: probabilities(np.eye(2) / 2, family_for(3)),
                           r"dimension mismatch: state \(2, 2\) vs family dim 3"),
     "from-probabilities-dim": (lambda: coefficients_from_probabilities(

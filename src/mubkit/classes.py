@@ -15,6 +15,7 @@ back as report entries, never exceptions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,11 +88,8 @@ class OperatorSet:
             raise ValueError(f"{need}: {exc}") from exc
         if a.shape != shape:
             raise ValueError(f"{need}, got {a.shape}")
-        c = frozen(self.coefficients, np.float64)
-        if c.shape != (d - 1, d):
-            raise ValueError(f"an operator set in dimension {d} needs coefficients of shape "
-                             f"{(d - 1, d)}, got {c.shape}")
-        if not (np.isfinite(a).all() and np.isfinite(c).all()):
+        c = frozen(coefficient_array(self.coefficients, d, "an operator set"), np.float64)
+        if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite (no NaN/Inf)")
         object.__setattr__(self, "array", a)
         object.__setattr__(self, "coefficients", c)
@@ -110,6 +108,18 @@ class OperatorSet:
         return self.array.shape[0] * self.array.shape[1]
 
 
+def coefficient_array(coeffs, d: int, owner: str) -> np.ndarray:
+    """coeffs as a float64 array; a ValueError naming owner and the shape
+    refuses anything but a finite array of shape (d-1, d)."""
+    c = np.asarray(coeffs, dtype=np.float64)
+    if c.shape != (d - 1, d):
+        raise ValueError(f"{owner} in dimension {d} needs coefficients of shape "
+                         f"{(d - 1, d)}, got {c.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    return c
+
+
 def coefficient_vectors(d: int) -> np.ndarray:
     """Diagonals of T(k, 0), k = 1..d-1, for spin j = (d-1)/2, as the rows of
     a read-only real (d-1, d) array.
@@ -126,14 +136,19 @@ def coefficient_vectors(d: int) -> np.ndarray:
 
 def _operators(bases: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """For a stack of n bases: the operators ops[c, k] = sum_i coeffs[k][i]
-    |b_i><b_i| of basis c, summed in order i = 0..d-1 for all classes at once."""
+    |b_i><b_i| of basis c, summed in order i = 0..d-1 for all classes at once.
+    Each step writes its projectors and weighted terms into the same two
+    buffers."""
     w = coeffs.astype(np.complex128)
     n, d = bases.shape[:2]
     ops = np.zeros((n, d - 1, d, d), dtype=np.complex128)
+    term = np.empty_like(ops)
+    proj = np.empty((n, d, d), dtype=np.complex128)
     for i in range(d):
         col = bases[:, :, i]  # |b_i> of every basis
-        proj = col[:, :, np.newaxis] * col.conj()[:, np.newaxis, :]
-        ops += w[:, i, np.newaxis, np.newaxis] * proj[:, np.newaxis]
+        np.multiply(col[:, :, np.newaxis], col.conj()[:, np.newaxis, :], out=proj)
+        np.multiply(w[:, i, np.newaxis, np.newaxis], proj[:, np.newaxis], out=term)
+        ops += term
     return ops
 
 
@@ -141,9 +156,7 @@ def build_class(basis: Basis, coeffs: np.ndarray) -> CommutingClass:
     """Operators A_k = sum_i coeffs[k][i] |b_i><b_i|; Hermitian and traceless
     by construction, commuting because they share the basis eigenvectors.
     """
-    if basis.dim != coeffs.shape[-1]:
-        raise ValueError(f"dimension mismatch: basis {basis.dim} vs coefficients "
-                         f"{coeffs.shape[-1]}")
+    coeffs = coefficient_array(coeffs, basis.dim, "a class")
     return CommutingClass(basis.label, tuple(_operators(basis.matrix[np.newaxis], coeffs)[0]))
 
 
@@ -174,11 +187,32 @@ def conjugate_class(cls: CommutingClass, transform: BasisTransform) -> Commuting
                           tuple(u @ op @ ud for op in cls.operators))
 
 
-def _products(ops: np.ndarray) -> np.ndarray:
-    """For a stack of p d x d operators: x[k, r, l, c] = (ops[k] @ ops[l])[r, c],
-    from one (p*d, d) @ (d, p*d) product, so [ops[k], ops[l]] is x - x[l, r, k, c]."""
+def _views(block: np.ndarray, *shapes) -> list[np.ndarray]:
+    """Consecutive, non-overlapping views of the start of a flat scratch block."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(block[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _moduli(z: np.ndarray, spent: np.ndarray) -> np.ndarray:
+    """|z| entrywise, written over the start of spent: complex scratch whose
+    values are no longer needed, at least as large as z, not overlapping it."""
+    return np.abs(z, out=spent.reshape(-1).view(np.float64)[:z.size].reshape(z.shape))
+
+
+def _commutators(ops: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack of p d x d operators: diff[k, r, l, c] = [ops[k], ops[l]][r, c]
+    from x[k, r, l, c] = (ops[k] @ ops[l])[r, c], one (p*d, d) @ (d, p*d) product
+    of copies of ops; every array lives in block. Returns (diff, x)."""
     p, d, _ = ops.shape
-    return (ops.reshape(p * d, d) @ ops.transpose(1, 0, 2).reshape(d, p * d)).reshape(p, d, p, d)
+    lhs, rhs, x, diff = _views(block, (p, d, d), (d, p, d), (p, d, p, d), (p, d, p, d))
+    np.copyto(lhs, ops)
+    np.copyto(rhs, ops.transpose(1, 0, 2))
+    np.matmul(lhs.reshape(p * d, d), rhs.reshape(d, p * d), out=x.reshape(p * d, p * d))
+    return np.subtract(x, x.transpose(2, 1, 0, 3), out=diff), x
 
 
 def verify_set(s: OperatorSet, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -193,15 +227,24 @@ def verify_set(s: OperatorSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     maximum over all operator pairs, and pass means every class pair's first
     operators visibly fail to commute, (g) completeness: identity plus the
     set spans all of operator space (Gram matrix stays d*I).
+
+    Every set-sized product, difference and modulus is written into views of
+    one scratch block that this call allocates and drops.
     """
     tol = validate_tolerance(tol)
     d = s.dim
     m = d - 1
     a = s.array
     n = a.shape[0]
+    q = d * d  # entries of one operator, and rows of the Gram check (n*m + 1)
+    # sized for the larger of the Gram check (three q x q arrays) and the
+    # witness (two (n, d, d) copies, an (n*d, n*d) product and its difference)
+    block = np.empty(max(3 * q * q, 2 * n * q * (n + 1)), dtype=np.complex128)
     results = []
 
-    dev = float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
+    diff, spent = _views(block, a.shape, a.shape)
+    np.conjugate(a.swapaxes(-1, -2), out=diff)
+    dev = float(_moduli(np.subtract(a, diff, out=diff), spent).max())
     results.append(CheckResult("hermiticity", dev, dev <= tol))
 
     dev = float(np.abs(np.trace(a, axis1=-2, axis2=-1)).max())
@@ -209,29 +252,31 @@ def verify_set(s: OperatorSet, tol: float = DEFAULT_TOL) -> VerificationReport:
 
     # Gram matrix of identity plus the flat operator list; the operator block
     # alone is the HS check, the whole matrix the completeness check
-    full = np.concatenate([np.eye(d, dtype=np.complex128).reshape(1, -1),
-                           a.reshape(n * m, d * d)])
-    gram = full.conj() @ full.T
+    full, conj, gram = _views(block, (q, q), (q, q), (q, q))
+    full[0] = np.eye(d).reshape(q)
+    full[1:] = a.reshape(n * m, q)
+    np.matmul(np.conjugate(full, out=conj), full.T, out=gram)
     gram[np.diag_indices_from(gram)] -= d
-    dev = float(np.abs(gram[1:, 1:]).max())
+    moduli = _moduli(gram, conj)
+    dev = float(moduli[1:, 1:].max())
     results.append(CheckResult("hs_orthogonality", dev, dev <= tol))
-    completeness = float(np.abs(gram).max())
+    completeness = float(moduli.max())
 
     # |x - y| = |y - x|, so one maximum over each block covers every pair;
     # np.max lets a NaN in any class through
-    dev = float(np.max([np.abs(x - x.transpose(2, 1, 0, 3)).max() for x in map(_products, a)]))
+    dev = float(np.max([_moduli(*_commutators(ops, block)).max() for ops in a]))
     results.append(CheckResult("within_class_commutation", dev, dev <= tol))
 
     bases = s.family.array
-    want = s.coefficients[np.newaxis, :, np.newaxis, :] * bases[:, np.newaxis]
-    got = (a.reshape(n, m * d, d) @ bases).reshape(n, m, d, d)
-    dev = float(np.abs(got - want).max())
+    got, want = _views(block, (n, m * d, d), (n, m, d, d))
+    np.multiply(s.coefficients[np.newaxis, :, np.newaxis, :], bases[:, np.newaxis], out=want)
+    np.matmul(a.reshape(n, m * d, d), bases, out=got)
+    dev = float(_moduli(np.subtract(got.reshape(want.shape), want, out=want), got).max())
     results.append(CheckResult("eigen_relation", dev, dev <= tol))
 
-    # x[k, l] = A_k A_l for the first operators, so the commutator of each
-    # class pair is one contiguous d*d block of the difference
-    x = _products(a[:, 0]).transpose(0, 2, 1, 3)
-    pairs = np.abs(x - x.transpose(1, 0, 2, 3)).reshape(n, n, d * d).max(axis=2)
+    # the commutator of the first operators of classes k and l is the block
+    # [k, :, l, :] of the difference
+    pairs = _moduli(*_commutators(a[:, 0], block)).max(axis=(1, 3))
     witness = float(pairs[np.triu_indices(n, 1)].min())
     results.append(CheckResult("cross_class_witness", witness,
                                witness >= NONCOMMUTING_FLOOR))

@@ -297,7 +297,10 @@ def _overlaps(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For a stack m of d x d bases: the blocks g[a, b] = B_a^dag B_b of every
     ordered pair, and the worst | |<a_i|b_j>|^2 - 1/d | of each block."""
     g = m.conj().transpose(0, 2, 1)[:, np.newaxis] @ m
-    return g, np.abs(np.abs(g) ** 2 - 1.0 / m.shape[-1]).max(axis=(2, 3))
+    dev = np.abs(g)  # one real array, taken through every step in place
+    np.square(dev, out=dev)
+    np.subtract(dev, 1.0 / m.shape[-1], out=dev)
+    return g, np.abs(dev, out=dev).max(axis=(2, 3))
 
 
 def check_family(f: MubFamily, tol: float = DEFAULT_TOL) -> VerificationReport:

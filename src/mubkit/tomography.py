@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import OperatorSet
+from .classes import OperatorSet, coefficient_array
 from .matcore import (_json_number, as_matrix, dimension, frozen, json_int, json_str, read_json,
                       write_json)
 from .mub import MubFamily
@@ -153,9 +153,7 @@ def coefficients_from_probabilities(record: MeasurementRecord,
     class b, operator k gets sum_i c[k][i] p_i^(b). Matches coefficients()
     exactly on exact records.
     """
-    if record.dim != coeffs.shape[-1]:
-        raise ValueError(f"dimension mismatch: record {record.dim} vs coefficients "
-                         f"{coeffs.shape[-1]}")
+    coeffs = coefficient_array(coeffs, record.dim, "a measurement record")
     return (record.probs @ coeffs.T).ravel()
 
 

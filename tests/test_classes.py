@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from mubkit.mub import (
     one_axis_twist,
     unitary_between,
 )
-from mubkit.tomography import random_density
+from mubkit.tomography import coefficients_from_probabilities, probabilities, random_density
 from helpers import max_abs
 from reference_tables import PAULI_X, PAULI_Y, PAULI_Z, alpha_d3
 
@@ -40,13 +41,15 @@ SUPPORTED_DIMS = ALL_DIMS + (13, 17, 19, 23)
 
 @pytest.mark.parametrize("d", range(2, 27))
 def test_coefficient_vectors_golden(d):
-    from mubkit.tensors import tensor_diagonal
+    # the independent Racah route, not the recurrence coefficient_vectors runs
+    from mubkit.tensors import spherical_tensor
 
     j = (d - 1) / 2
     coeffs = coefficient_vectors(d)
     assert type(coeffs) is np.ndarray and coeffs.dtype == np.float64
     assert coeffs.shape == (d - 1, d) and not coeffs.flags.writeable
-    assert coeffs.tobytes() == np.array([tensor_diagonal(j, k) for k in range(1, d)]).tobytes()
+    racah = np.array([np.diag(spherical_tensor(j, k, 0)).real for k in range(1, d)])
+    assert coeffs.tobytes() == racah.tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 11, 26])
@@ -318,7 +321,8 @@ CLASS_REFUSALS = {
                         r"an operator set in dimension 3 needs an array of shape "
                         r"\(4, 2, 3, 3\), got \(3, 2, 3, 3\)"),
     "build-class-dim": (lambda: build_class(canonical_basis(5), coefficient_vectors(3)),
-                        "dimension mismatch: basis 5 vs coefficients 3"),
+                        r"a class in dimension 5 needs coefficients of shape \(4, 5\), "
+                        r"got \(2, 3\)"),
     "conjugate-class-dim": (lambda: conjugate_class(supported_set(3).classes[0],
                                                     one_axis_twist(5, 1)),
                             r"dimension mismatch: class \(3, 3\) vs transform 5"),
@@ -528,6 +532,56 @@ def test_non_finite_coefficients_are_refused(d, row):
         c[row, 1] = bad
         with pytest.raises(ValueError, match=r"matrix entries must be finite \(no NaN/Inf\)"):
             OperatorSet(d, opset.array, opset.family, c)
+
+
+# build_set and verify_set take their scratch afresh on every call: no set
+# aliases scratch, no call writes into a set, and no call sees another's values
+def test_sets_built_back_to_back_share_no_memory():
+    family = family_for(5)
+    s1, s2 = build_set(family), build_set(family)
+    assert not np.shares_memory(s1.array, s2.array)
+    assert s1.array.tobytes() == s2.array.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 5, 11])
+def test_verify_set_leaves_the_set_untouched(d):
+    opset = build_set(family_for(d))
+    before = opset.array.tobytes()
+    verify_set(opset)
+    assert opset.array.tobytes() == before
+    assert not opset.array.flags.writeable
+
+
+def test_sets_verified_alternately_report_what_each_reports_alone():
+    sets = (supported_set(5), non_hermitian_perturbation(supported_set(5)), supported_set(7))
+    alone = [verify_set(s).to_dicts() for s in sets]
+    assert alone[0] != alone[1]
+    for _ in range(2):
+        assert [verify_set(s).to_dicts() for s in sets] == alone
+
+
+# build_class and coefficients_from_probabilities take a bare coefficient array,
+# without an operator set's checks: a NaN or inf weight would pass into every
+# operator or expansion coefficient, and a 1-D array would fail inside numpy
+BARE_COEFFICIENT_CALLS = {
+    "build_class": lambda c: build_class(canonical_basis(3), c),
+    "coefficients_from_probabilities": lambda c: coefficients_from_probabilities(
+        probabilities(np.eye(3) / 3, family_for(3)), c),
+}
+
+
+@pytest.mark.parametrize("call", BARE_COEFFICIENT_CALLS.values(), ids=BARE_COEFFICIENT_CALLS)
+def test_bare_coefficients_must_be_finite_and_of_shape_d_minus_1_by_d(call):
+    call(coefficient_vectors(3))
+    for bad in (np.nan, np.inf):
+        c = np.array(coefficient_vectors(3))
+        c[1, 2] = bad
+        with pytest.raises(ValueError, match=r"matrix entries must be finite \(no NaN/Inf\)"):
+            call(c)
+    for shape in ((3,), (2,), (3, 3), (2, 4), (1, 2, 3)):
+        with pytest.raises(ValueError, match=r"in dimension 3 needs coefficients of shape "
+                                             r"\(2, 3\), got " + re.escape(str(shape))):
+            call(np.zeros(shape))
 
 
 def all_pairs_witness(s):

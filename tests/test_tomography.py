@@ -239,7 +239,8 @@ TOMOGRAPHY_REFUSALS = {
                           r"dimension mismatch: state \(2, 2\) vs family dim 3"),
     "from-probabilities-dim": (lambda: coefficients_from_probabilities(
                                    _exact_record(3), coefficient_vectors(2)),
-                               "dimension mismatch: record 3 vs coefficients 2"),
+                               r"a measurement record in dimension 3 needs coefficients of "
+                               r"shape \(2, 3\), got \(1, 2\)"),
     "random-density-d1": (lambda: random_density(1, 0), "dimension must be >= 2, got 1"),
     "trace-distance-shapes": (lambda: trace_distance(np.eye(2), np.eye(3)),
                               r"shape mismatch: \(2, 2\) vs \(3, 3\)"),

@@ -28,7 +28,8 @@ from .matcore import (
     json_int,
     validate_tolerance,
 )
-from .mub import MAX_DIM, Basis, BasisTransform, MubFamily, check_family
+from .mub import (MAX_DIM, Basis, BasisTransform, MubFamily, UnsupportedDimensionError,
+                  check_family)
 from .tensors import tensor_diagonal
 
 __all__ = [
@@ -80,19 +81,11 @@ class OperatorSet:
         object.__setattr__(self, "dim", d)
         if self.family.dim != d:
             raise ValueError(f"family dimension {self.family.dim} does not match set dimension {d}")
-        shape = (d + 1, d - 1, d, d)
-        need = f"an operator set in dimension {d} needs an array of shape {shape}"
-        try:
-            a = frozen(self.array, np.complex128)
-        except ValueError as exc:  # numpy refuses a ragged classes tuple
-            raise ValueError(f"{need}: {exc}") from exc
-        if a.shape != shape:
-            raise ValueError(f"{need}, got {a.shape}")
-        c = frozen(coefficient_array(self.coefficients, d, "an operator set"), np.float64)
-        if not np.isfinite(a).all():
-            raise ValueError("matrix entries must be finite (no NaN/Inf)")
-        object.__setattr__(self, "array", a)
-        object.__setattr__(self, "coefficients", c)
+        owner = f"an operator set in dimension {d}"
+        object.__setattr__(self, "array", frozen(self.array, np.complex128,
+                                                 (d + 1, d - 1, d, d), owner, "an array"))
+        object.__setattr__(self, "coefficients", frozen(self.coefficients, np.float64,
+                                                        (d - 1, d), owner, "coefficients"))
 
     @property
     def classes(self) -> tuple[CommutingClass, ...]:
@@ -108,18 +101,6 @@ class OperatorSet:
         return self.array.shape[0] * self.array.shape[1]
 
 
-def coefficient_array(coeffs, d: int, owner: str) -> np.ndarray:
-    """coeffs as a float64 array; a ValueError naming owner and the shape
-    refuses anything but a finite array of shape (d-1, d)."""
-    c = np.asarray(coeffs, dtype=np.float64)
-    if c.shape != (d - 1, d):
-        raise ValueError(f"{owner} in dimension {d} needs coefficients of shape "
-                         f"{(d - 1, d)}, got {c.shape}")
-    if not np.isfinite(c).all():
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    return c
-
-
 def coefficient_vectors(d: int) -> np.ndarray:
     """Diagonals of T(k, 0), k = 1..d-1, for spin j = (d-1)/2, as the rows of
     a read-only real (d-1, d) array.
@@ -129,7 +110,7 @@ def coefficient_vectors(d: int) -> np.ndarray:
     """
     d = json_int(d, "dimension")
     if not 2 <= d <= MAX_DIM:
-        raise ValueError(f"dimension must satisfy 2 <= d <= {MAX_DIM}, got {d}")
+        raise UnsupportedDimensionError(d, f"dimension must satisfy 2 <= d <= {MAX_DIM}, got {d}")
     j = (d - 1) / 2.0
     return frozen([tensor_diagonal(j, k) for k in range(1, d)], np.float64)
 
@@ -152,12 +133,12 @@ def _operators(bases: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return ops
 
 
-def build_class(basis: Basis, coeffs: np.ndarray) -> CommutingClass:
-    """Operators A_k = sum_i coeffs[k][i] |b_i><b_i|; Hermitian and traceless
-    by construction, commuting because they share the basis eigenvectors.
+def build_class(basis: Basis) -> CommutingClass:
+    """Operators A_k = sum_i c[k][i] |b_i><b_i|, c = coefficient_vectors(d); Hermitian
+    and traceless by construction, commuting because they share the basis eigenvectors.
     """
-    coeffs = coefficient_array(coeffs, basis.dim, "a class")
-    return CommutingClass(basis.label, tuple(_operators(basis.matrix[np.newaxis], coeffs)[0]))
+    ops = _operators(basis.matrix[np.newaxis], coefficient_vectors(basis.dim))[0]
+    return CommutingClass(basis.label, tuple(ops))
 
 
 def build_set(family: MubFamily) -> OperatorSet:

@@ -77,10 +77,6 @@ _REPORT_FILE = "verification_report.json"
 _TABLE_NAMES = {2: "sigma", 3: "alpha", 4: "beta", 5: "gamma"}
 
 
-class _Refused(Exception):
-    """An export the package cannot verify, an operator set above MAX_DIM: exit 2, not 3."""
-
-
 def _emit(payload: dict) -> None:
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -177,8 +173,7 @@ def _read_export(src: Path) -> tuple[MubFamily, OperatorSet | None]:
     if set_dim != dim:
         raise ValueError(f"operator manifest dimension {set_dim} does not match"
                          f" family dimension {dim}")
-    if dim > MAX_DIM:
-        raise _Refused(f"dimension must satisfy 2 <= d <= {MAX_DIM}, got {dim}")
+    coeffs = coefficient_vectors(dim)  # above MAX_DIM, refused before any operator file is read
     class_labels = [json_str(entry["basis_label"], "basis_label") for entry in entries]
     if class_labels != labels:
         raise ValueError(f"operator classes {class_labels} must name the family's bases"
@@ -190,7 +185,7 @@ def _read_export(src: Path) -> tuple[MubFamily, OperatorSet | None]:
         if len(names) != dim - 1:
             raise ValueError(f"class {label!r} needs {dim - 1} operators, got {len(names)}")
         operators.append(_read_matrices(src, names, dim))
-    return family, OperatorSet(dim, operators, family, coefficient_vectors(dim))
+    return family, OperatorSet(dim, operators, family, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +293,8 @@ def cmd_operators(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         family, opset = _read_export(Path(getattr(args, "in")))
+    except UnsupportedDimensionError:
+        raise  # sound files in a dimension without coefficient vectors: exit 2, not 3
     except (KeyError, TypeError, ValueError) as exc:
         # the one place where a fault of an export file joins the OSErrors of
         # reading one, which _run answers with exit 3
@@ -489,7 +486,7 @@ def _run(args: argparse.Namespace) -> int:
     except OSError as exc:
         _emit_error("io", str(exc))
         return EXIT_IO
-    except (ValueError, _Refused) as exc:
+    except ValueError as exc:
         _emit_error("invalid", str(exc))
         return EXIT_UNSUPPORTED
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,9 +64,22 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
-def frozen(a, dtype) -> np.ndarray:
-    """A read-only, C-ordered copy of a: the caller's array is neither frozen nor aliased."""
-    out = np.array(a, dtype=dtype, order="C")
+def frozen(a, dtype, shape=None, owner="", what="") -> np.ndarray:
+    """A read-only, C-ordered copy of a: the caller's array is neither frozen nor
+    aliased. Given a shape, the one rule for a stored array: a ValueError naming
+    owner and what refuses a copy of another shape (ragged input included), one
+    with no entries and one holding NaN/Inf."""
+    try:
+        out = np.array(a, dtype=dtype, order="C")
+    except ValueError as exc:  # numpy refuses ragged input
+        raise ValueError(f"{owner} needs {what} of shape {shape}: {exc}") from exc
+    if shape is not None:
+        if out.shape != shape:
+            raise ValueError(f"{owner} needs {what} of shape {shape}, got {out.shape}")
+        if out.size == 0:
+            raise ValueError(f"{owner} needs {what} with at least one entry, got shape {shape}")
+        if not np.isfinite(out).all():
+            raise ValueError("matrix entries must be finite (no NaN/Inf)")
     out.setflags(write=False)
     return out
 
@@ -112,11 +126,22 @@ class VerificationReport:
 # JSON files
 #
 # Every file the package writes has one layout: json.dumps(obj, indent=2),
-# UTF-8, no trailing newline. A reader's ValueError names the file; OSError
-# (missing or unreadable file) passes through untouched.
+# UTF-8, no trailing newline, written by _write_text. A reader's ValueError
+# names the file; OSError (missing or unreadable file) passes through untouched.
+
+def _write_text(path, text: str) -> None:
+    """Write text to path whole or not at all: into path + ".tmp", a name no
+    count of an export's .json files sees, then renamed over path."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2), encoding="utf-8")
+    _write_text(path, json.dumps(obj, indent=2))
 
 
 def read_json(path) -> dict:
@@ -213,7 +238,7 @@ def write_matrix(path, m) -> None:
     """The bytes write_json gives the format's dict for m, from one template."""
     m = np.ascontiguousarray(as_matrix(m))
     parts = m.view(np.float64).ravel().tolist()  # re, im interleaved; repr is json's
-    Path(path).write_text(_matrix_layout(*m.shape) % tuple(parts), encoding="utf-8")
+    _write_text(path, _matrix_layout(*m.shape) % tuple(parts))
 
 
 def read_matrix(path) -> np.ndarray:

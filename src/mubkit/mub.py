@@ -30,7 +30,6 @@ from .matcore import (
     DEFAULT_TOL,
     CheckResult,
     VerificationReport,
-    as_matrix,
     dimension,
     frozen,
     json_int,
@@ -108,10 +107,8 @@ class Basis:
     def __post_init__(self):
         object.__setattr__(self, "dim", json_int(self.dim, "dimension"))
         json_str(self.label, "basis label")
-        m = frozen(as_matrix(self.matrix), np.complex128)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"basis matrix must be {self.dim}x{self.dim}, got {m.shape}")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", frozen(self.matrix, np.complex128, (self.dim,) * 2,
+                                                  f"a basis in dimension {self.dim}", "a matrix"))
 
     def vector(self, i: int) -> np.ndarray:
         return self.matrix[:, i]
@@ -172,10 +169,9 @@ class BasisTransform:
         object.__setattr__(self, "dim", json_int(self.dim, "dimension"))
         for label in (self.source_label, self.target_label):
             json_str(label, "basis label")
-        m = frozen(as_matrix(self.matrix), np.complex128)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"transform must be {self.dim}x{self.dim}, got {m.shape}")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", frozen(self.matrix, np.complex128, (self.dim,) * 2,
+                                                  f"a transform in dimension {self.dim}",
+                                                  "a matrix"))
 
 
 # ---------------------------------------------------------------------------

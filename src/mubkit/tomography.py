@@ -5,9 +5,9 @@ The two reconstruction routes are kept deliberately separate so they can
 check each other:
 
 * coefficients(rho, set) reads a_i = Tr(rho A_i) directly off the state;
-* probabilities(rho, family) -> coefficients_from_probabilities recovers
-  the same numbers from the d+1 measured distributions, using only the
-  coefficient vectors (a_k^(b) = sum_i c[k][i] p_i^(b)).
+* probabilities(rho, family) -> coefficients_from_probabilities(record, set)
+  recovers the same numbers from the d+1 measured distributions, using only
+  the set's coefficients c (a_k^(b) = sum_i c[k][i] p_i^(b)), not its operators.
 
 Either way, rho = (1/d)(I + sum_i a_i A_i). Sampling is multinomial with
 one independent PCG64 stream per basis derived from (seed, basis index), so
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import OperatorSet, coefficient_array
+from .classes import OperatorSet
 from .matcore import (_json_number, as_matrix, dimension, frozen, json_int, json_str, read_json,
                       write_json)
 from .mub import MubFamily
@@ -69,16 +69,10 @@ class MeasurementRecord:
                                                  for label in self.labels))
         if self.shots is not None:
             object.__setattr__(self, "shots", shot_count(json_int(self.shots, "shots")))
-        p = frozen(self.probs, np.float64)  # the checks below hold for the stored copy
-        if p.ndim != 2 or p.shape[1] != self.dim or p.shape[0] != len(self.labels):
-            raise ValueError(f"probability array shape {p.shape} does not match "
-                             f"{len(self.labels)} bases of dimension {self.dim}")
-        if p.size == 0:
-            raise ValueError(f"a record needs at least one probability, got shape {p.shape}")
-        lo, hi = p.min(), p.max()  # one pass each; NaN propagates into both
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("probabilities must be finite")
-        if lo < -1e-12 or hi > 1 + 1e-12:
+        n = len(self.labels)
+        p = frozen(self.probs, np.float64, (n, self.dim),
+                   f"a record of {n} bases in dimension {self.dim}", "probabilities")
+        if p.min() < -1e-12 or p.max() > 1 + 1e-12:
             raise ValueError("probabilities must lie in [0, 1]")
         if np.abs(p.sum(axis=1) - 1.0).max() > 1e-9:
             raise ValueError("each basis distribution must sum to 1")
@@ -147,14 +141,18 @@ def probabilities(rho, family: MubFamily) -> MeasurementRecord:
     return MeasurementRecord(family.dim, family.labels, np.clip(p, 0.0, 1.0), None)
 
 
-def coefficients_from_probabilities(record: MeasurementRecord,
-                                    coeffs: np.ndarray) -> np.ndarray:
+def coefficients_from_probabilities(record: MeasurementRecord, s: OperatorSet) -> np.ndarray:
     """Recover the flat coefficient vector from measured distributions:
-    class b, operator k gets sum_i c[k][i] p_i^(b). Matches coefficients()
-    exactly on exact records.
+    class b, operator k gets sum_i c[k][i] p_i^(b), c = s.coefficients.
+    Matches coefficients() exactly on exact records. The record must hold
+    the set's family's bases, in order.
     """
-    coeffs = coefficient_array(coeffs, record.dim, "a measurement record")
-    return (record.probs @ coeffs.T).ravel()
+    if record.dim != s.dim:
+        raise ValueError(f"dimension mismatch: record {record.dim} vs set {s.dim}")
+    if record.labels != s.family.labels:
+        raise ValueError(f"record bases {list(record.labels)} do not match the family's "
+                         f"bases {list(s.family.labels)} in order")
+    return (record.probs @ s.coefficients.T).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +289,7 @@ def reconstruct_from_record(record: MeasurementRecord, s: OperatorSet,
     If a reference state is supplied the report carries the trace distance
     to it, plus fidelity when the reference is pure.
     """
-    if record.dim != s.dim:
-        raise ValueError(f"dimension mismatch: record {record.dim} vs set {s.dim}")
-    if record.labels != s.family.labels:
-        raise ValueError(f"record bases {list(record.labels)} do not match the family's "
-                         f"bases {list(s.family.labels)} in order")
-    a = coefficients_from_probabilities(record, s.coefficients)
-    estimate = reconstruct(a, s)
+    estimate = reconstruct(coefficients_from_probabilities(record, s), s)
     if project:
         estimate = project_psd(estimate)
     td = fid = None

@@ -2,7 +2,6 @@
 
 import dataclasses
 import functools
-import re
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from mubkit.mub import (
     Basis,
     BasisTransform,
     MubFamily,
+    UnsupportedDimensionError,
     builtin_family,
     canonical_basis,
     family_for,
@@ -30,7 +30,7 @@ from mubkit.mub import (
     one_axis_twist,
     unitary_between,
 )
-from mubkit.tomography import coefficients_from_probabilities, probabilities, random_density
+from mubkit.tomography import random_density
 from helpers import max_abs
 from reference_tables import PAULI_X, PAULI_Y, PAULI_Z, alpha_d3
 
@@ -61,10 +61,13 @@ def test_coefficient_vectors_traceless_orthogonal(d):
 
 
 def test_coefficient_vectors_dimension_bounds():
-    with pytest.raises(ValueError):
-        coefficient_vectors(1)
-    with pytest.raises(ValueError):
-        coefficient_vectors(27)
+    # no coefficient vectors exist outside 2 <= d <= 26: the ValueError the
+    # CLI reports as unsupported, naming the dimension
+    for d in (1, 27):
+        with pytest.raises(UnsupportedDimensionError, match=f"^dimension must satisfy "
+                                                            f"2 <= d <= 26, got {d}$") as err:
+            coefficient_vectors(d)
+        assert err.value.dim == d
 
 
 def test_coefficient_vectors_read_only():
@@ -125,12 +128,11 @@ def test_conjugation_route_equals_projector_route(d):
     # operators of class b via unitary transport of class 1 must agree
     # with the direct projector decomposition in basis b
     family = family_for(d)
-    coeffs = coefficient_vectors(d)
-    first = build_class(family.bases[0], coeffs)
+    first = build_class(family.bases[0])
     for basis in family.bases[1:]:
         transform = unitary_between(family.bases[0], basis)
         moved = conjugate_class(first, transform)
-        direct = build_class(basis, coeffs)
+        direct = build_class(basis)
         assert moved.basis_label == basis.label
         for a, b in zip(moved.operators, direct.operators):
             assert max_abs(a - b) < 1e-12
@@ -138,7 +140,7 @@ def test_conjugation_route_equals_projector_route(d):
 
 def test_conjugate_class_keeps_label_without_target():
     family = builtin_family(3)
-    cls = build_class(family.bases[0], coefficient_vectors(3))
+    cls = build_class(family.bases[0])
     transform = BasisTransform(3, family.bases[1].matrix)
     moved = conjugate_class(cls, transform)
     assert moved.basis_label == cls.basis_label
@@ -274,7 +276,7 @@ def test_classes_keep_no_projectors():
                                   tuple(basis.projector(i) for i in range(3)))
                    for cls in opset.classes)
     rebuilt = OperatorSet(3, passed, opset.family, opset.coefficients)
-    cls = build_class(basis, opset.coefficients)
+    cls = build_class(basis)
     moved = conjugate_class(cls, unitary_between(basis, opset.family.bases[2]))
     assert all(c.projectors is None for c in opset.classes + rebuilt.classes + (cls, moved))
 
@@ -320,9 +322,9 @@ CLASS_REFUSALS = {
                                             supported_set(3).coefficients),
                         r"an operator set in dimension 3 needs an array of shape "
                         r"\(4, 2, 3, 3\), got \(3, 2, 3, 3\)"),
-    "build-class-dim": (lambda: build_class(canonical_basis(5), coefficient_vectors(3)),
-                        r"a class in dimension 5 needs coefficients of shape \(4, 5\), "
-                        r"got \(2, 3\)"),
+    # a basis above the ceiling has no coefficient vectors to weight its projectors with
+    "build-class-dim": (lambda: build_class(canonical_basis(27)),
+                        "dimension must satisfy 2 <= d <= 26, got 27"),
     "conjugate-class-dim": (lambda: conjugate_class(supported_set(3).classes[0],
                                                     one_axis_twist(5, 1)),
                             r"dimension mismatch: class \(3, 3\) vs transform 5"),
@@ -489,7 +491,7 @@ def test_build_set_bytes_equal_per_basis_reference(d):
     ops = per_basis_classes(opset.family, opset.coefficients)
     assert opset.array.tobytes() == ops.tobytes()
     for i, basis in enumerate(opset.family.bases):
-        cls = build_class(basis, opset.coefficients)
+        cls = build_class(basis)
         assert cls.basis_label == basis.label
         assert np.array(cls.operators).tobytes() == ops[i].tobytes()
 
@@ -558,30 +560,6 @@ def test_sets_verified_alternately_report_what_each_reports_alone():
     assert alone[0] != alone[1]
     for _ in range(2):
         assert [verify_set(s).to_dicts() for s in sets] == alone
-
-
-# build_class and coefficients_from_probabilities take a bare coefficient array,
-# without an operator set's checks: a NaN or inf weight would pass into every
-# operator or expansion coefficient, and a 1-D array would fail inside numpy
-BARE_COEFFICIENT_CALLS = {
-    "build_class": lambda c: build_class(canonical_basis(3), c),
-    "coefficients_from_probabilities": lambda c: coefficients_from_probabilities(
-        probabilities(np.eye(3) / 3, family_for(3)), c),
-}
-
-
-@pytest.mark.parametrize("call", BARE_COEFFICIENT_CALLS.values(), ids=BARE_COEFFICIENT_CALLS)
-def test_bare_coefficients_must_be_finite_and_of_shape_d_minus_1_by_d(call):
-    call(coefficient_vectors(3))
-    for bad in (np.nan, np.inf):
-        c = np.array(coefficient_vectors(3))
-        c[1, 2] = bad
-        with pytest.raises(ValueError, match=r"matrix entries must be finite \(no NaN/Inf\)"):
-            call(c)
-    for shape in ((3,), (2,), (3, 3), (2, 4), (1, 2, 3)):
-        with pytest.raises(ValueError, match=r"in dimension 3 needs coefficients of shape "
-                                             r"\(2, 3\), got " + re.escape(str(shape))):
-            call(np.zeros(shape))
 
 
 def all_pairs_witness(s):

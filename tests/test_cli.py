@@ -472,15 +472,16 @@ def test_verify_rejects_family_dimension_below_two(tmp_path, capsys, dim, bases,
 
 
 def test_verify_refuses_operator_export_above_ceiling(tmp_path, capsys):
-    # sound files in a dimension without coefficient vectors: an invalid input
-    # (exit 2), not a malformed export (exit 3)
+    # sound files in a dimension without coefficient vectors: the payload of
+    # an unsupported dimension (exit 2), not a malformed export (exit 3)
     out = tmp_path / "fam29"
     code, _ = run_json(capsys, "mub", "--dim", "29", "--source", "generated", "--out", str(out))
     assert code == EXIT_PASS
     (out / "operators.json").write_text(json.dumps({"dim": 29, "classes": []}))
     code, data = run_json(capsys, "verify", "--in", str(out))
     assert code == EXIT_UNSUPPORTED
-    assert data == {"error": "invalid", "message": "dimension must satisfy 2 <= d <= 26, got 29"}
+    assert data == {"error": "unsupported", "message": "dimension must satisfy 2 <= d <= 26, got 29",
+                    "dim": 29}
 
 
 def test_operators_dimension_six_refused(capsys):

@@ -1,6 +1,7 @@
 """Tests for the shared matrix utilities and JSON wire format."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -195,6 +196,24 @@ def test_empty_matrix_refused_and_no_file_written(tmp_path, shape):
     with pytest.raises(ValueError, match="no entries"):
         write_matrix(path, np.zeros(shape))
     assert not path.exists()
+
+
+# each writer renames a finished temporary file over its target, so a write
+# that fails leaves the previous file whole and no temporary file behind
+@pytest.mark.parametrize("write, value", [(write_json, {"dim": 3}), (write_matrix, np.eye(2))])
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, write, value):
+    path = tmp_path / "m.json"
+    write(path, value)
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        write(path, {"dim": 5} if write is write_json else np.eye(3))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
 def test_read_matrix_bad_file(tmp_path):

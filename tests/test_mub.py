@@ -1,11 +1,13 @@
 """Tests for MUB family construction and certification."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubkit.classes import coefficient_vectors
+from mubkit.classes import OperatorSet, build_set, coefficient_vectors
 from mubkit.matcore import DEFAULT_TOL, root_of_unity
 from mubkit.mub import (
     BUILTIN_DIMS,
@@ -23,6 +25,7 @@ from mubkit.mub import (
     one_axis_twist,
     unitary_between,
 )
+from mubkit.tomography import MeasurementRecord
 from helpers import max_abs
 
 ALL_DIMS = (2, 3, 4, 5, 7, 11)
@@ -211,7 +214,8 @@ MUB_REFUSALS = {
                                            + (Basis(4, np.eye(4), "B4"),)),
                          "basis 'B4' has dimension 4, expected 3"),
     "transform-shape": (lambda: BasisTransform(3, np.eye(2)),
-                        r"transform must be 3x3, got \(2, 2\)"),
+                        r"^a transform in dimension 3 needs a matrix of shape \(3, 3\), "
+                        r"got \(2, 2\)$"),
     "canonical-d1": (lambda: canonical_basis(1), "dimension must be >= 2, got 1"),
     "fourier-d1": (lambda: fourier_basis(1), "dimension must be >= 2, got 1"),
     "twist-d1": (lambda: one_axis_twist(1, 0.5), "dimension must be >= 2, got 1"),
@@ -248,7 +252,8 @@ def test_family_validation_errors():
         Basis(3, np.eye(2))  # shape mismatch
     with pytest.raises(ValueError):
         Basis(2, np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="no entries"):
+    with pytest.raises(ValueError, match=r"^a basis in dimension 0 needs a matrix with at least "
+                                         r"one entry, got shape \(0, 0\)$"):
         Basis(0, np.zeros((0, 0)))
 
 
@@ -355,18 +360,53 @@ def test_basis_matrix_read_only():
         basis.matrix[0, 0] = 5.0
 
 
-@pytest.mark.parametrize("container", [Basis, BasisTransform])
-def test_basis_containers_copy_the_callers_matrix(container):
+@functools.cache
+def _d3_set():
+    return build_set(builtin_family(3))
+
+
+# every array a container stores, through the one rule of matcore.frozen:
+# (the container built on an array, a valid array, the field that stores it)
+STORED_ARRAYS = {
+    "Basis.matrix": (lambda a: Basis(3, a), lambda: np.eye(3), "matrix"),
+    "BasisTransform.matrix": (lambda a: BasisTransform(3, a), lambda: np.eye(3), "matrix"),
+    "OperatorSet.array": (lambda a: OperatorSet(3, a, _d3_set().family, _d3_set().coefficients),
+                          lambda: _d3_set().array, "array"),
+    "OperatorSet.coefficients": (lambda a: OperatorSet(3, _d3_set().array, _d3_set().family, a),
+                                 lambda: _d3_set().coefficients, "coefficients"),
+    "MeasurementRecord.probs": (lambda a: MeasurementRecord(3, ("B1", "B2", "B3", "B4"), a),
+                                lambda: np.full((4, 3), 1 / 3), "probs"),
+}
+
+
+@pytest.mark.parametrize("make, good, field", STORED_ARRAYS.values(), ids=STORED_ARRAYS)
+def test_stored_arrays_are_frozen_copies(make, good, field):
     # the caller's array stays writable, and a later write to it or to its
-    # base never reaches the stored (read-only) matrix
-    m = np.eye(3, dtype=np.complex128)
-    big = np.stack([m, m])
-    own, view = container(3, m), container(3, big[0])
-    assert m.flags.writeable and big.flags.writeable
-    m[0, 0] = big[0, 0, 0] = 5.0
+    # base never reaches the stored (read-only) array
+    a = np.array(good())
+    big = np.stack([a, a])
+    own, view = make(a), make(big[0])
+    assert a.flags.writeable and big.flags.writeable
+    a.flat[0] = big.flat[0] = 0.5
     for obj in (own, view):
-        assert obj.matrix[0, 0] == 1.0
-        assert not obj.matrix.flags.writeable
+        stored = getattr(obj, field)
+        assert np.array_equal(stored, good())
+        assert not stored.flags.writeable
+
+
+@pytest.mark.parametrize("make, good, field", STORED_ARRAYS.values(), ids=STORED_ARRAYS)
+def test_stored_arrays_refuse_malformed_input(make, good, field):
+    a = good()
+    for value in (np.nan, np.inf):
+        bad = np.array(a)
+        bad.flat[1] = value
+        with pytest.raises(ValueError, match=r"^matrix entries must be finite \(no NaN/Inf\)$"):
+            make(bad)
+    # a wrong shape, 1-D input, ragged input and a 0 x 0 matrix
+    ragged = [*a[:-1], a[-1][:-1]]
+    for bad in (a[:-1], a.ravel(), ragged, np.zeros((0, 0))):
+        with pytest.raises(ValueError, match=r"^an? .* in dimension 3 needs .* of shape \("):
+            make(bad)
 
 
 def test_one_axis_twist_advances_builtin_d3_labels():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubkit.classes import build_set, coefficient_vectors
+from mubkit.classes import build_set
 from mubkit.mub import builtin_family, family_for
 from mubkit.tomography import (
     MeasurementRecord,
@@ -83,7 +83,7 @@ def test_probability_route_matches_trace_route(d):
         assert max_abs(record.probs.sum(axis=1) - 1.0) < 1e-12
         assert record.probs.min() >= 0.0
         direct = coefficients(rho, opset)
-        viaprobs = coefficients_from_probabilities(record, opset.coefficients)
+        viaprobs = coefficients_from_probabilities(record, opset)
         assert max_abs(direct - viaprobs) < 1e-12
 
 
@@ -238,9 +238,15 @@ TOMOGRAPHY_REFUSALS = {
     "probabilities-dim": (lambda: probabilities(np.eye(2) / 2, family_for(3)),
                           r"dimension mismatch: state \(2, 2\) vs family dim 3"),
     "from-probabilities-dim": (lambda: coefficients_from_probabilities(
-                                   _exact_record(3), coefficient_vectors(2)),
-                               r"a measurement record in dimension 3 needs coefficients of "
-                               r"shape \(2, 3\), got \(1, 2\)"),
+                                   _exact_record(3), build_set(family_for(2))),
+                               "dimension mismatch: record 3 vs set 2"),
+    # a record of the set's dimension but of other bases would give another state's coefficients
+    "from-probabilities-labels": (lambda: coefficients_from_probabilities(
+                                      MeasurementRecord(3, ("B2", "B1", "B3", "B4"),
+                                                        _exact_record(3).probs),
+                                      build_set(family_for(3))),
+                                  r"^record bases \['B2', 'B1', 'B3', 'B4'\] do not match the "
+                                  r"family's bases \['B1', 'B2', 'B3', 'B4'\] in order$"),
     "random-density-d1": (lambda: random_density(1, 0), "dimension must be >= 2, got 1"),
     "trace-distance-shapes": (lambda: trace_distance(np.eye(2), np.eye(3)),
                               r"shape mismatch: \(2, 2\) vs \(3, 3\)"),
@@ -369,8 +375,9 @@ def test_measurement_record_validation(tmp_path):
             MeasurementRecord(2, labels, good)
     # a record with no probabilities is refused by name, not by a numpy reduction
     for dim, labels, probs in ((3, (), np.zeros((0, 3))), (0, ("B1",), np.zeros((1, 0)))):
-        with pytest.raises(ValueError, match="^a record needs at least one probability, got "
-                                             + re.escape(f"shape {probs.shape}") + "$"):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"a record of {len(labels)} bases in dimension {dim} needs probabilities with "
+                f"at least one entry, got shape {probs.shape}") + "$"):
             MeasurementRecord(dim, labels, probs)
     record = MeasurementRecord(np.int64(2), ["B1", "B2", "B3"], good, shots=np.int64(1000))
     assert type(record.dim) is int and type(record.shots) is int

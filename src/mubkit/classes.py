@@ -15,6 +15,7 @@ back as report entries, never exceptions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -184,16 +185,35 @@ def _moduli(z: np.ndarray, spent: np.ndarray) -> np.ndarray:
     return np.abs(z, out=spent.reshape(-1).view(np.float64)[:z.size].reshape(z.shape))
 
 
+@functools.lru_cache(maxsize=16)
+def _pair_rows(p: int, d: int) -> np.ndarray:
+    """Read-only row numbers of the product x of _commutators, read as the
+    (p*d*p, d) rows x[k, r, l, :]: the d rows of ops[k] @ ops[l] for every
+    pair k < l in np.triu_indices(p, 1) order, then those of ops[l] @ ops[k]."""
+    k, l = (i[:, np.newaxis] for i in np.triu_indices(p, 1))
+    r = np.arange(d)
+    rows = np.concatenate([((k * d + r) * p + l).ravel(), ((l * d + r) * p + k).ravel()])
+    rows.setflags(write=False)
+    return rows
+
+
 def _commutators(ops: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For a stack of p d x d operators: diff[k, r, l, c] = [ops[k], ops[l]][r, c]
-    from x[k, r, l, c] = (ops[k] @ ops[l])[r, c], one (p*d, d) @ (d, p*d) product
-    of copies of ops; every array lives in block. Returns (diff, x)."""
+    """For a stack of p d x d operators: the commutators [ops[k], ops[l]] of
+    every pair k < l, as a (p(p-1)/2, d, d) stack in np.triu_indices(p, 1)
+    order. All products come from one (p*d, d) @ (d, p*d) product of copies
+    of ops, x[k, r, l, c] = (ops[k] @ ops[l])[r, c]; the products of the pairs
+    are gathered from it row by row and differenced in place. Every array
+    lives in block. Returns (diff, x): x is spent once diff holds the stack."""
     p, d, _ = ops.shape
-    lhs, rhs, x, diff = _views(block, (p, d, d), (d, p, d), (p, d, p, d), (p, d, p, d))
+    rows = _pair_rows(p, d)
+    lhs, rhs, x, pairs = _views(block, (p, d, d), (d, p, d), (p, d, p, d),
+                                (2, p * (p - 1) // 2, d, d))
     np.copyto(lhs, ops)
     np.copyto(rhs, ops.transpose(1, 0, 2))
     np.matmul(lhs.reshape(p * d, d), rhs.reshape(d, p * d), out=x.reshape(p * d, p * d))
-    return np.subtract(x, x.transpose(2, 1, 0, 3), out=diff), x
+    # every row number is in range; mode="clip" lets take write straight into pairs
+    np.take(x.reshape(-1, d), rows, axis=0, out=pairs.reshape(-1, d), mode="clip")
+    return np.subtract(pairs[0], pairs[1], out=pairs[0]), x
 
 
 def verify_set(s: OperatorSet, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -210,7 +230,8 @@ def verify_set(s: OperatorSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     set spans all of operator space (Gram matrix stays d*I).
 
     Every set-sized product, difference and modulus is written into views of
-    one scratch block that this call allocates and drops.
+    one scratch block that this call allocates and drops. The commutator
+    checks visit each pair k < l once.
     """
     tol = validate_tolerance(tol)
     d = s.dim
@@ -219,8 +240,9 @@ def verify_set(s: OperatorSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     n = a.shape[0]
     q = d * d  # entries of one operator, and rows of the Gram check (n*m + 1)
     # sized for the larger of the Gram check (three q x q arrays) and the
-    # witness (two (n, d, d) copies, an (n*d, n*d) product and its difference)
-    block = np.empty(max(3 * q * q, 2 * n * q * (n + 1)), dtype=np.complex128)
+    # witness (two (n, d, d) copies, an (n*d, n*d) product and the n(n-1)
+    # products of its class pairs, n(2n+1) operators in all)
+    block = np.empty(max(3 * q * q, n * (2 * n + 1) * q), dtype=np.complex128)
     results = []
 
     diff, spent = _views(block, a.shape, a.shape)
@@ -243,9 +265,9 @@ def verify_set(s: OperatorSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     results.append(CheckResult("hs_orthogonality", dev, dev <= tol))
     completeness = float(moduli.max())
 
-    # |x - y| = |y - x|, so one maximum over each block covers every pair;
-    # np.max lets a NaN in any class through
-    dev = float(np.max([_moduli(*_commutators(ops, block)).max() for ops in a]))
+    # [A_l, A_k] = -[A_k, A_l] entry for entry, so the pairs k < l cover every
+    # pair; at d = 2 a class has no pair and reports 0; np.max lets a NaN through
+    dev = float(np.max([_moduli(*_commutators(ops, block)).max(initial=0.0) for ops in a]))
     results.append(CheckResult("within_class_commutation", dev, dev <= tol))
 
     bases = s.family.array
@@ -255,10 +277,8 @@ def verify_set(s: OperatorSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     dev = float(_moduli(np.subtract(got.reshape(want.shape), want, out=want), got).max())
     results.append(CheckResult("eigen_relation", dev, dev <= tol))
 
-    # the commutator of the first operators of classes k and l is the block
-    # [k, :, l, :] of the difference
-    pairs = _moduli(*_commutators(a[:, 0], block)).max(axis=(1, 3))
-    witness = float(pairs[np.triu_indices(n, 1)].min())
+    # the commutators of the first operators of every class pair k < l
+    witness = float(_moduli(*_commutators(a[:, 0], block)).max(axis=(1, 2)).min())
     results.append(CheckResult("cross_class_witness", witness,
                                witness >= NONCOMMUTING_FLOOR))
 

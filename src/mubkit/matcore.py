@@ -67,11 +67,12 @@ def as_matrix(m) -> np.ndarray:
 def frozen(a, dtype, shape=None, owner="", what="") -> np.ndarray:
     """A read-only, C-ordered copy of a: the caller's array is neither frozen nor
     aliased. Given a shape, the one rule for a stored array: a ValueError naming
-    owner and what refuses a copy of another shape (ragged input included), one
-    with no entries and one holding NaN/Inf."""
+    owner and what refuses non-numeric input, a copy of another shape (ragged
+    input included) and one with no entries, and a ValueError refuses one
+    holding NaN/Inf."""
     try:
         out = np.array(a, dtype=dtype, order="C")
-    except ValueError as exc:  # numpy refuses ragged input
+    except (TypeError, ValueError) as exc:  # a non-numeric entry, or ragged input
         raise ValueError(f"{owner} needs {what} of shape {shape}: {exc}") from exc
     if shape is not None:
         if out.shape != shape:

@@ -138,11 +138,13 @@ class MubFamily:
         if len(self.bases) != self.dim + 1:
             raise ValueError(f"a complete family in dimension {self.dim} needs "
                              f"{self.dim + 1} bases, got {len(self.bases)}")
-        for i, b in enumerate(self.bases):
+        seen = set()
+        for b in self.bases:
             if b.dim != self.dim:
                 raise ValueError(f"basis {b.label!r} has dimension {b.dim}, expected {self.dim}")
-            if b.label in self.labels[:i]:
+            if b.label in seen:
                 raise ValueError(f"family repeats basis label {b.label}")
+            seen.add(b.label)
         a = frozen([b.matrix for b in self.bases], np.complex128)
         # Basis(...) would copy its row again: re-point shallow copies instead
         bases = tuple(map(copy.copy, self.bases))
@@ -289,28 +291,24 @@ def family_for(d: int) -> MubFamily:
 # ---------------------------------------------------------------------------
 # checks and transforms
 
-def _overlaps(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For a stack m of d x d bases: the blocks g[a, b] = B_a^dag B_b of every
-    ordered pair, and the worst | |<a_i|b_j>|^2 - 1/d | of each block."""
-    g = m.conj().transpose(0, 2, 1)[:, np.newaxis] @ m
-    dev = np.abs(g)  # one real array, taken through every step in place
-    np.square(dev, out=dev)
-    np.subtract(dev, 1.0 / m.shape[-1], out=dev)
-    return g, np.abs(dev, out=dev).max(axis=(2, 3))
-
-
 def check_family(f: MubFamily, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Certify a family: member count, per-basis orthonormality, pairwise
     unbiasedness. Failures are report entries, never exceptions.
     """
     tol = validate_tolerance(tol)
-    n = len(f.bases)
-    results = [CheckResult("member_count", float(abs(n - (f.dim + 1))), n == f.dim + 1)]
-    g, unbiased = _overlaps(f.array)
-    # diagonal blocks are the Gram matrices, the upper triangle the distinct pairs
-    worst_orth = float(np.abs(g[np.arange(n), np.arange(n)] - np.eye(f.dim)).max())
+    n, d = len(f.bases), f.dim
+    results = [CheckResult("member_count", float(abs(n - (d + 1))), n == d + 1)]
+    # the blocks B_a^dag B_b of the pairs a <= b: first the n Gram matrices
+    # a == b, then the overlaps of the distinct pairs a < b
+    a, b = np.concatenate([np.diag_indices(n), np.triu_indices(n, 1)], axis=1)
+    m = f.array
+    g = m.conj().transpose(0, 2, 1)[a] @ m[b]
+    worst_orth = float(np.abs(g[:n] - np.eye(d)).max())
     results.append(CheckResult("orthonormality", worst_orth, worst_orth <= tol))
-    worst_unb = float(unbiased[np.triu_indices(n, 1)].max())
+    dev = np.abs(g[n:])  # one real array, taken through every step in place
+    np.square(dev, out=dev)
+    np.subtract(dev, 1.0 / d, out=dev)
+    worst_unb = float(np.abs(dev, out=dev).max())
     results.append(CheckResult("unbiasedness", worst_unb, worst_unb <= tol))
     return VerificationReport(tuple(results))
 

@@ -21,11 +21,13 @@ Conventions
   recurrence of the discrete Chebyshev polynomials (the Hahn polynomials with
   alpha = beta = 0, DLMF 18.19-18.22). It reaches the same exact rational as
   the Racah sum and rounds it the same way, so the two routes agree bit for
-  bit; spherical_tensor(j, k, 0) is the independent check.
+  bit; spherical_tensor(j, k, 0) is the independent check. Each (2j, k)
+  runs the recurrence once; later calls copy the kept row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from fractions import Fraction
@@ -168,7 +170,8 @@ def spherical_tensor(j, k: int, q: int = 0) -> np.ndarray:
 
 def tensor_diagonal(j, k: int) -> np.ndarray:
     """Real diagonal of T(k, 0), m-descending; equal bit for bit to the
-    diagonal of spherical_tensor(j, k, 0).
+    diagonal of spherical_tensor(j, k, 0). Each call returns a fresh,
+    writable array.
 
     With d = 2j + 1, entry x (m = j - x) is
 
@@ -179,6 +182,13 @@ def tensor_diagonal(j, k: int) -> np.ndarray:
     which stays in the integers (DLMF 18.22).
     """
     tj, k, _ = _tensor_indices(j, k, 0)
+    return _diagonal(tj, k).copy()
+
+
+# 512 rows hold every (2j, k) up to the support ceiling 2j = 25 (351 pairs)
+@functools.lru_cache(maxsize=512)
+def _diagonal(tj: int, k: int) -> np.ndarray:
+    """tensor_diagonal for validated (2j, k), computed once per pair and read-only."""
     d = tj + 1
     u = [2 * x - tj for x in range(d)]
     t_prev, t = [0] * d, [1] * d
@@ -196,6 +206,7 @@ def tensor_diagonal(j, k: int) -> np.ndarray:
             # the rounding the Racah route applies to the same rational
             mag = scale * math.sqrt(v * v / norm)
             out[x] = mag if (v > 0) == (k % 2 == 0) else -mag
+    out.setflags(write=False)
     return out
 
 

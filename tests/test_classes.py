@@ -554,6 +554,13 @@ def test_verify_set_leaves_the_set_untouched(d):
     assert not opset.array.flags.writeable
 
 
+def test_within_class_check_reports_zero_at_d2():
+    # one operator per class leaves no pair to commute, whatever the operator
+    for opset in (supported_set(2), non_hermitian_perturbation(supported_set(2))):
+        result = verify_set(opset).result("within_class_commutation")
+        assert (result.worst_deviation, result.passed) == (0.0, True)
+
+
 def test_sets_verified_alternately_report_what_each_reports_alone():
     sets = (supported_set(5), non_hermitian_perturbation(supported_set(5)), supported_set(7))
     alone = [verify_set(s).to_dicts() for s in sets]

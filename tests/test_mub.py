@@ -176,13 +176,16 @@ def test_dimension_accepts_numpy_integers(constructor):
 
 @pytest.mark.parametrize("d", SUPPORTED_DIMS)
 def test_check_family_equals_per_pair_loop(d):
+    # a tamper on a random basis, then on the first and on the last basis, so
+    # the worst pair also sits at each end of the triangle of pairs
     rng = np.random.default_rng(d)
     family = family_for(d)
-    bad = perturbed(family, int(rng.integers(d + 1)), *rng.integers(d, size=2), 3e-7 - 2e-7j)
-    for f in (family, bad):
+    bad = [perturbed(family, index, *rng.integers(d, size=2), 3e-7 - 2e-7j)
+           for index in (int(rng.integers(d + 1)), 0, d)]
+    for f in (family, *bad):
         got = [(r.check, r.worst_deviation, r.passed) for r in check_family(f)]
         assert got == reference_family_checks(f)
-    assert not check_family(bad).passed
+    assert not any(check_family(f).passed for f in bad)
 
 
 @pytest.mark.parametrize("d", [6])
@@ -402,9 +405,12 @@ def test_stored_arrays_refuse_malformed_input(make, good, field):
         bad.flat[1] = value
         with pytest.raises(ValueError, match=r"^matrix entries must be finite \(no NaN/Inf\)$"):
             make(bad)
-    # a wrong shape, 1-D input, ragged input and a 0 x 0 matrix
+    # a wrong shape, 1-D input, ragged input, a 0 x 0 matrix, an object and
+    # an array holding one
     ragged = [*a[:-1], a[-1][:-1]]
-    for bad in (a[:-1], a.ravel(), ragged, np.zeros((0, 0))):
+    holds_object = np.array(a, dtype=object)
+    holds_object.flat[1] = object()
+    for bad in (a[:-1], a.ravel(), ragged, np.zeros((0, 0)), object(), holds_object):
         with pytest.raises(ValueError, match=r"^an? .* in dimension 3 needs .* of shape \("):
             make(bad)
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mubkit import classes
 from mubkit.tensors import (
     angular_momentum,
     clebsch_gordan,
@@ -193,6 +194,38 @@ def test_non_integer_rank_or_component_refused(func, args, name):
     # truncating such a value would silently give a different, valid tensor
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         func(*args)
+
+
+def test_tensor_diagonal_returns_a_fresh_writable_copy():
+    first = tensor_diagonal(1.5, 2)
+    want = first.tobytes()
+    assert first.flags.writeable
+    first[:] = 7.0
+    again = tensor_diagonal(1.5, 2)
+    assert again.tobytes() == want
+    assert not np.shares_memory(first, again)
+
+
+def test_kept_rows_do_not_bypass_validation():
+    # True == 1 and hash(True) == hash(1): a row kept for (1, 1) must not let
+    # a bool spin or rank through
+    tensor_diagonal(1, 1)
+    for args, name in (((True, 1), "j"), ((1, True), "rank k")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            tensor_diagonal(*args)
+
+
+def test_coefficient_vectors_call_tensor_diagonal_once_per_rank(monkeypatch):
+    # the benchmark's trace counts one tensors.tensor_diagonal span per rank
+    calls = []
+
+    def counted(j, k):
+        calls.append((j, k))
+        return tensor_diagonal(j, k)
+
+    monkeypatch.setattr(classes, "tensor_diagonal", counted)
+    classes.coefficient_vectors(3)
+    assert calls == [(1.0, 1), (1.0, 2)]
 
 
 def test_integral_rank_and_component_types_accepted():

@@ -113,7 +113,8 @@ def coefficient_vectors(d: int) -> np.ndarray:
     if not 2 <= d <= MAX_DIM:
         raise UnsupportedDimensionError(d, f"dimension must satisfy 2 <= d <= {MAX_DIM}, got {d}")
     j = (d - 1) / 2.0
-    return frozen([tensor_diagonal(j, k) for k in range(1, d)], np.float64)
+    return frozen([tensor_diagonal(j, k) for k in range(1, d)], np.float64, (d - 1, d),
+                  f"coefficient vectors in dimension {d}", "rows")
 
 
 def _operators(bases: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

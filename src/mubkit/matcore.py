@@ -52,37 +52,46 @@ def root_of_unity(d: int, power: int = 1) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a finite, non-empty 2-D complex128 array."""
-    arr = np.asarray(m, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"matrix has no entries, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    return arr
-
-
-def frozen(a, dtype, shape=None, owner="", what="") -> np.ndarray:
-    """A read-only, C-ordered copy of a: the caller's array is neither frozen nor
-    aliased. Given a shape, the one rule for a stored array: a ValueError naming
-    owner and what refuses non-numeric input, a copy of another shape (ragged
-    input included) and one with no entries, and a ValueError refuses one
-    holding NaN/Inf."""
+def checked(a, dtype, shape, owner: str, what: str,
+            misfit="{owner} needs {what} of shape {shape}, got {got}",
+            empty="{owner} needs {what} with at least one entry, got shape {got}") -> np.ndarray:
+    """A C-ordered copy of a under the package's one array rule, for stored arrays
+    and matrix arguments alike. A ValueError naming owner and what refuses
+    non-numeric input, a copy whose shape does not fit shape (ragged input
+    included) and one with no entries, and a ValueError refuses one holding
+    NaN/Inf. An int in shape is an axis length; a string names one, and the axes
+    one string names must be equal, so ("n", "n") fits any square matrix. The
+    misfit and empty messages are formatted with owner, what, shape and got, the
+    copy's shape."""
     try:
         out = np.array(a, dtype=dtype, order="C")
     except (TypeError, ValueError) as exc:  # a non-numeric entry, or ragged input
         raise ValueError(f"{owner} needs {what} of shape {shape}: {exc}") from exc
-    if shape is not None:
-        if out.shape != shape:
-            raise ValueError(f"{owner} needs {what} of shape {shape}, got {out.shape}")
-        if out.size == 0:
-            raise ValueError(f"{owner} needs {what} with at least one entry, got shape {shape}")
-        if not np.isfinite(out).all():
-            raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    lengths = {}  # the length each named axis took
+    fits = out.ndim == len(shape) and all(
+        n == (lengths.setdefault(s, n) if isinstance(s, str) else s)
+        for s, n in zip(shape, out.shape))
+    if not fits:
+        raise ValueError(misfit.format(owner=owner, what=what, shape=shape, got=out.shape))
+    if out.size == 0:
+        raise ValueError(empty.format(owner=owner, what=what, shape=shape, got=out.shape))
+    if not np.isfinite(out).all():
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    return out
+
+
+def frozen(a, dtype, shape, owner: str, what: str) -> np.ndarray:
+    """A read-only copy of a under checked's rule: the caller's array is neither
+    frozen nor aliased."""
+    out = checked(a, dtype, shape, owner, what)
     out.setflags(write=False)
     return out
+
+
+def as_matrix(m) -> np.ndarray:
+    """m as a complex128 matrix a matrix file can hold, under checked's rule."""
+    return checked(m, np.complex128, ("rows", "cols"), "a matrix file", "a matrix",
+                   empty="matrix has no entries, got shape {got}")
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,8 @@ class MubFamily:
             if b.label in seen:
                 raise ValueError(f"family repeats basis label {b.label}")
             seen.add(b.label)
-        a = frozen([b.matrix for b in self.bases], np.complex128)
+        a = frozen([b.matrix for b in self.bases], np.complex128,
+                   (self.dim + 1, self.dim, self.dim), f"a family in dimension {self.dim}", "bases")
         # Basis(...) would copy its row again: re-point shallow copies instead
         bases = tuple(map(copy.copy, self.bases))
         for b, m in zip(bases, a):

@@ -53,9 +53,10 @@ def _doubled(x, name: str = "spin") -> int:
     except OverflowError:  # an int or fraction beyond float range
         real = False
     if real:
-        two = 2 * Fraction(x if isinstance(x, numbers.Rational) else float(x))
-        if two.denominator == 1:
-            return int(two)
+        num, den = ((x.numerator, x.denominator) if isinstance(x, numbers.Rational)
+                    else float(x).as_integer_ratio())  # exact, in lowest terms
+        if den in (1, 2):
+            return int(num) if den == 2 else 2 * int(num)
     raise ValueError(f"{name} must be an integer or half-integer, got {x!r}")
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import OperatorSet
-from .matcore import (_json_number, as_matrix, dimension, frozen, json_int, json_str, read_json,
+from .matcore import (_json_number, checked, dimension, frozen, json_int, json_str, read_json,
                       write_json)
 from .mub import MubFamily
 
@@ -106,9 +106,8 @@ def coefficients(rho, s: OperatorSet) -> np.ndarray:
     vanish (Hermitian rho against Hermitian A_i): each is checked against
     _IMAG_TOL, then dropped.
     """
-    rho = as_matrix(rho)
-    if rho.shape != (s.dim, s.dim):
-        raise ValueError(f"dimension mismatch: state {rho.shape} vs set dim {s.dim}")
+    rho = checked(rho, np.complex128, (s.dim, s.dim), f"an operator set in dimension {s.dim}",
+                  "a state", misfit="dimension mismatch: state {got} vs set dim {shape[0]}")
     # Tr(rho A_n) = sum_ij rho[i, j] A_n[j, i]
     values = np.einsum("ij,nji->n", rho, s.array.reshape(-1, s.dim, s.dim))
     worst = float(np.abs(values.imag).max())
@@ -132,9 +131,9 @@ def reconstruct(coeffs, s: OperatorSet) -> np.ndarray:
 
 def probabilities(rho, family: MubFamily) -> MeasurementRecord:
     """Exact outcome distributions p_i^(b) = <b_i|rho|b_i> for every basis."""
-    rho = as_matrix(rho)
-    if rho.shape != (family.dim, family.dim):
-        raise ValueError(f"dimension mismatch: state {rho.shape} vs family dim {family.dim}")
+    d = family.dim
+    rho = checked(rho, np.complex128, (d, d), f"a family in dimension {d}", "a state",
+                  misfit="dimension mismatch: state {got} vs family dim {shape[0]}")
     m = family.array
     # row b is the diagonal of B_b^dag rho B_b
     p = (m.conj() * (rho @ m)).sum(axis=1).real
@@ -160,18 +159,11 @@ def coefficients_from_probabilities(record: MeasurementRecord, s: OperatorSet) -
 
 def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
     # The package's one seed derivation: any integer seed, reduced mod 2**64,
-    # then non-negative integer keys. The uint32 words are the ones SeedSequence
-    # makes from the list [seed & mask, *key] (each int split into 32-bit
-    # words, low word first, at least one), so the pool is the same.
-    words = []
-    for value in (json_int(seed, "seed") & _MASK64, *key):
-        value = json_int(value, "seed key")
-        if value < 0:  # checked first: the loop below never ends on a negative int
-            raise ValueError(f"seed key must be non-negative, got {value}")
-        words.append(value & 0xFFFFFFFF)
-        while value := value >> 32:
-            words.append(value & 0xFFFFFFFF)
-    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    # then non-negative integer keys.
+    entropy = [json_int(seed, "seed") & _MASK64, *(json_int(k, "seed key") for k in key)]
+    if min(entropy) < 0:
+        raise ValueError(f"seed key must be non-negative, got {min(entropy)}")
+    return np.random.SeedSequence(entropy)
 
 
 def derive_seed(seed: int, *key: int) -> int:
@@ -220,14 +212,9 @@ def random_density(d: int, seed: int) -> np.ndarray:
 
 def trace_distance(a, b) -> float:
     """(1/2) sum of singular values of a - b."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return _trace_distance(a, b)
-
-
-def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    a = checked(a, np.complex128, ("n", "n"), "trace_distance", "a square matrix")
+    b = checked(b, np.complex128, a.shape, "trace_distance", "a second matrix",
+                misfit="shape mismatch: {shape} vs {got}")
     return 0.5 * float(np.linalg.svd(a - b, compute_uv=False).sum())
 
 
@@ -236,13 +223,11 @@ def _is_pure(rho: np.ndarray) -> bool:
 
 
 def _reference_state(reference, d: int) -> np.ndarray:
-    """A reference as a finite d x d density matrix; a state vector becomes
-    its normalized projector."""
-    ref = np.asarray(reference, dtype=np.complex128)
-    if ref.shape not in ((d,), (d, d)):
-        raise ValueError(f"reference of shape {ref.shape} does not fit dimension {d}")
-    if not np.isfinite(ref).all():
-        raise ValueError("reference entries must be finite (no NaN/Inf)")
+    """A reference as a d x d density matrix under matcore.checked's rule; a
+    state vector becomes its normalized projector."""
+    ref = checked(reference, np.complex128, (d,) if np.ndim(reference) == 1 else (d, d),
+                  f"a comparison in dimension {d}", "a reference",
+                  misfit="reference of shape {got} does not fit dimension {shape[0]}")
     if ref.ndim == 1:
         norm = np.vdot(ref, ref).real
         if norm <= 0.0:
@@ -256,14 +241,10 @@ def fidelity(rho, reference) -> float:
     density matrix). Mixed references are refused; compare those by trace
     distance instead.
     """
-    rho = as_matrix(rho)
-    ref = _reference_state(reference, rho.shape[0])
+    rho = checked(rho, np.complex128, ("n", "n"), "fidelity", "a square matrix")
+    ref = _reference_state(reference, len(rho))
     if not _is_pure(ref):
         raise ValueError("reference is not pure; use trace_distance for mixed states")
-    return _fidelity(rho, ref)
-
-
-def _fidelity(rho: np.ndarray, ref: np.ndarray) -> float:
     return float(np.trace(rho @ ref).real)
 
 
@@ -271,7 +252,7 @@ def project_psd(rho) -> np.ndarray:
     """Nearest physical state in the clip-and-renormalize sense: zero out
     negative eigenvalues, rescale to unit trace.
     """
-    rho = as_matrix(rho)
+    rho = checked(rho, np.complex128, ("n", "n"), "project_psd", "a square matrix")
     vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
     vals = np.clip(vals, 0.0, None)
     if vals.sum() <= 0.0:
@@ -295,9 +276,9 @@ def reconstruct_from_record(record: MeasurementRecord, s: OperatorSet,
     td = fid = None
     if reference is not None:
         ref = _reference_state(reference, s.dim)
-        td = _trace_distance(estimate, ref)
+        td = trace_distance(estimate, ref)
         if _is_pure(ref):
-            fid = _fidelity(estimate, ref)
+            fid = fidelity(estimate, ref)
     return ReconstructionReport(estimate, td, fid, record.shots, bool(project))
 
 

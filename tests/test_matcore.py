@@ -48,6 +48,10 @@ def test_as_matrix_rejects_bad_input():
         as_matrix([1.0, 2.0])
     with pytest.raises(ValueError):
         as_matrix([[np.nan, 0.0], [0.0, 1.0]])
+    # a non-numeric or ragged matrix is a ValueError too, not numpy's TypeError
+    for bad in (object(), [[1.0, 2.0], [3.0]]):
+        with pytest.raises(ValueError, match=r"^a matrix file needs a matrix of shape "):
+            as_matrix(bad)
     out = as_matrix([[1, 2], [3, 4]])
     assert out.dtype == np.complex128
 

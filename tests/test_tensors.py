@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubkit import classes
 from mubkit.tensors import (
+    _doubled,
     angular_momentum,
     clebsch_gordan,
     rank3_tensor_polynomial,
@@ -104,6 +107,45 @@ def test_clebsch_gordan_rows_orthonormal(j1, j2):
             assert total == pytest.approx(want, abs=1e-12)
 
 
+@st.composite
+def _coupling(draw):
+    """Doubled (j1, j2, J) with J in the triangle of j1 and j2, 2j1, 2j2 <= 25."""
+    tj1, tj2 = draw(st.integers(0, 25)), draw(st.integers(0, 25))
+    tj = draw(st.sampled_from(range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)))
+    return tj1, tj2, tj
+
+
+@settings(deadline=None)
+@given(_coupling(), st.data())
+def test_clebsch_gordan_exchange_symmetry_is_exact(coupling, data):
+    # C(j1 j2 J; m1 m2 M) = (-1)^(j1+j2-J) C(j2 j1 J; m2 m1 M), bit for bit
+    tj1, tj2, tj = coupling
+    tm1 = data.draw(st.sampled_from(range(-tj1, tj1 + 1, 2)))
+    tm2 = data.draw(st.sampled_from(range(-tj2, tj2 + 1, 2)))
+    tm = tm1 + tm2
+    if abs(tm) > tj:
+        tm = data.draw(st.sampled_from(range(-tj, tj + 1, 2)))  # a selection-rule zero
+    sign = -1 if (tj1 + tj2 - tj) // 2 % 2 else 1
+    got = clebsch_gordan(tj1 / 2, tj2 / 2, tj / 2, tm1 / 2, tm2 / 2, tm / 2)
+    assert got == sign * clebsch_gordan(tj2 / 2, tj1 / 2, tj / 2, tm2 / 2, tm1 / 2, tm / 2)
+
+
+@settings(deadline=None)
+@given(_coupling(), st.data())
+def test_clebsch_gordan_rows_orthonormal_over_the_whole_range(coupling, data):
+    # sum over m1 of C(j1 j2 J; m1, M-m1, M) C(j1 j2 J'; m1, M-m1, M) = delta_JJ'
+    tj1, tj2, tj = coupling
+    tj_other = data.draw(st.sampled_from(range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)))
+    tm = data.draw(st.sampled_from(range(-min(tj, tj_other), min(tj, tj_other) + 1, 2)))
+    total = 0.0
+    for tm1 in range(-tj1, tj1 + 1, 2):
+        if abs(tm - tm1) <= tj2:
+            args = tj1 / 2, tj2 / 2
+            ms = tm1 / 2, (tm - tm1) / 2, tm / 2
+            total += clebsch_gordan(*args, tj / 2, *ms) * clebsch_gordan(*args, tj_other / 2, *ms)
+    assert total == pytest.approx(1.0 if tj == tj_other else 0.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("j", [0.5, 1, 1.5, 2, 2.5, 3, 5])
 def test_angular_momentum_algebra(j):
     jx, jy, jz = angular_momentum(j)
@@ -155,8 +197,10 @@ def test_non_finite_spins_refused(spin):
             call()
 
 
-@pytest.mark.parametrize("spin", ["1", True, np.bool_(True), 1 + 1e-10, 10 ** 400, None],
-                         ids=["string", "bool", "numpy-bool", "near-integer", "huge", "none"])
+@pytest.mark.parametrize("spin", ["1", True, np.bool_(True), 1 + 1e-10, 10 ** 400, None, 2.25,
+                                  Fraction(7, 4)],
+                         ids=["string", "bool", "numpy-bool", "near-integer", "huge", "none",
+                              "quarter", "fraction-quarter"])
 def test_spin_must_be_an_exact_half_integer(spin):
     # each of these used to pass as spin 1, or to overflow, instead of raising
     calls = [
@@ -172,7 +216,17 @@ def test_spin_must_be_an_exact_half_integer(spin):
 def test_exact_half_integer_spin_types_accepted():
     for spin in (1.5, np.float64(1.5), np.float32(1.5), Fraction(3, 2)):
         assert np.array_equal(tensor_diagonal(spin, 2), tensor_diagonal(3 / 2, 2))
+    assert np.array_equal(tensor_diagonal(Fraction(7, 2), 3), tensor_diagonal(3.5, 3))
+    assert np.array_equal(tensor_diagonal(np.float32(2.5), 4), tensor_diagonal(2.5, 4))
     assert np.array_equal(angular_momentum(np.int64(2))[2], angular_momentum(2)[2])
+    # the largest finite spins are exact too; tensor_diagonal(1e308, 1) would
+    # build rows of length 2e308, so the doubling is checked directly
+    for spin, want in ((1e308, 2 * int(1e308)), (np.float32(2.5), 5), (Fraction(7, 2), 7),
+                       (np.int64(3), 6), (2 ** 1000, 2 ** 1001)):
+        got = _doubled(spin)
+        assert got == want and type(got) is int, spin
+    with pytest.raises(ValueError, match="spin must be an integer or half-integer"):
+        _doubled(10 ** 400)
 
 
 _NON_INTEGER_INDICES = [
@@ -247,14 +301,14 @@ def test_spherical_tensor_orthonormality(two_j):
             assert abs(np.vdot(t1, t2) - want) < 1e-11  # vdot(a, b) = Tr(a^dag b)
 
 
-@pytest.mark.parametrize("two_j", [1, 2, 3, 4])
+@pytest.mark.parametrize("two_j", range(1, 26))
 def test_spherical_tensor_adjoint_symmetry(two_j):
-    # tau_k_q^dag = (-1)^q tau_k_{-q}
+    # tau_k_q^dag = (-1)^q tau_k_{-q}, exactly, for every spin the package reaches
     j = two_j / 2
     for k in range(two_j + 1):
         for q in range(-k, k + 1):
             t = spherical_tensor(j, k, q)
-            assert max_abs(t.conj().T - (-1) ** q * spherical_tensor(j, k, -q)) < 1e-12
+            assert np.array_equal(t.conj().T, (-1) ** q * spherical_tensor(j, k, -q)), (k, q)
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 3, 5])

@@ -254,6 +254,31 @@ TOMOGRAPHY_REFUSALS = {
                                                                build_set(family_for(2))),
                                "dimension mismatch: record 3 vs set 2"),
     "project-psd-collapse": (lambda: project_psd(-np.eye(2)), "projection collapsed to zero"),
+    # every matrix argument passes matcore.checked's rule: a non-numeric, ragged,
+    # non-square or empty one is refused by name, not by numpy or by a wrong result
+    "probabilities-non-numeric": (lambda: probabilities(object(), family_for(3)),
+                                  r"^a family in dimension 3 needs a state of shape \(3, 3\): "),
+    "coefficients-ragged": (lambda: coefficients([[1, 0, 0], [0, 1]], build_set(family_for(3))),
+                            r"^an operator set in dimension 3 needs a state of shape \(3, 3\): "
+                            r".*inhomogeneous shape"),
+    "fidelity-non-square": (lambda: fidelity(np.ones((2, 3)), [1, 0]),
+                            r"^fidelity needs a square matrix of shape \('n', 'n'\), "
+                            r"got \(2, 3\)$"),
+    "project-psd-non-square": (lambda: project_psd(np.ones((2, 3))),
+                               r"^project_psd needs a square matrix of shape \('n', 'n'\), "
+                               r"got \(2, 3\)$"),
+    # the parent returned 0.0 here: a - b is zero whatever its shape
+    "trace-distance-non-square": (lambda: trace_distance(np.ones((2, 3)), np.ones((2, 3))),
+                                  r"^trace_distance needs a square matrix of shape \('n', 'n'\), "
+                                  r"got \(2, 3\)$"),
+    "fidelity-empty": (lambda: fidelity(np.zeros((0, 0)), np.zeros(0)),
+                       r"^fidelity needs a square matrix with at least one entry, got shape "
+                       r"\(0, 0\)$"),
+    "reference-non-numeric": (lambda: reconstruct_from_record(_exact_record(3),
+                                                              build_set(family_for(3)),
+                                                              reference=object()),
+                              r"^a comparison in dimension 3 needs a reference of shape "
+                              r"\(3, 3\): "),
 }
 
 

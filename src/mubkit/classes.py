@@ -182,7 +182,8 @@ def _views(block: np.ndarray, *shapes) -> list[np.ndarray]:
 
 def _moduli(z: np.ndarray, spent: np.ndarray) -> np.ndarray:
     """|z| entrywise, written over the start of spent: complex scratch whose
-    values are no longer needed, at least as large as z, not overlapping it."""
+    values are no longer needed, of at least z.size / 2 entries, not
+    overlapping z."""
     return np.abs(z, out=spent.reshape(-1).view(np.float64)[:z.size].reshape(z.shape))
 
 
@@ -217,6 +218,22 @@ def _commutators(ops: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.subtract(pairs[0], pairs[1], out=pairs[0]), x
 
 
+def _dense_gram(a: np.ndarray) -> tuple[float, float]:
+    """The largest entry of |G - d I| over the operator block and over the whole
+    Gram matrix G of identity plus the flat operator list of a: the dense
+    hs_orthogonality and completeness values, formed in a scratch block of
+    their own."""
+    n, m, d, _ = a.shape
+    q = d * d  # n*m + 1 rows
+    full, conj, gram = _views(np.empty(3 * q * q, dtype=np.complex128), (q, q), (q, q), (q, q))
+    full[0] = np.eye(d).reshape(q)
+    full[1:] = a.reshape(n * m, q)
+    np.matmul(np.conjugate(full, out=conj), full.T, out=gram)
+    gram[np.diag_indices_from(gram)] -= d
+    moduli = _moduli(gram, conj)
+    return float(moduli[1:, 1:].max()), float(moduli.max())
+
+
 def verify_set(s: OperatorSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Re-derive every claimed property of an operator set numerically.
 
@@ -230,6 +247,15 @@ def verify_set(s: OperatorSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     operators visibly fail to commute, (g) completeness: identity plus the
     set spans all of operator space (Gram matrix stays d*I).
 
+    (c), (d) and (g) pass on certified upper bounds of their dense values,
+    derived in O(d^5) from the eigen residual R = A B - B diag(c[k]) and the
+    family overlaps G = W^dag W, W = [B_1 ... B_n]. With eps_b the Frobenius
+    norm of B_b^dag B_b - I, every operator lies within
+    e = |R|_F sqrt(1 + eps_b) + |A|_F eps_b of B diag(c[k]) B^dag, whose HS
+    products are c O c^T with O = |G|^2 entrywise. A check whose bound
+    exceeds tol runs its dense definition instead and reports that value, so
+    every pass flag is the dense definition's.
+
     Every set-sized product, difference and modulus is written into views of
     one scratch block that this call allocates and drops. The commutator
     checks visit each pair k < l once.
@@ -239,50 +265,88 @@ def verify_set(s: OperatorSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     m = d - 1
     a = s.array
     n = a.shape[0]
-    q = d * d  # entries of one operator, and rows of the Gram check (n*m + 1)
-    # sized for the larger of the Gram check (three q x q arrays) and the
-    # witness (two (n, d, d) copies, an (n*d, n*d) product and the n(n-1)
-    # products of its class pairs, n(2n+1) operators in all)
-    block = np.empty(max(3 * q * q, n * (2 * n + 1) * q), dtype=np.complex128)
-    results = []
+    nd = n * d
+    # sized for the largest of: the witness (two (n, d, d) copies, an
+    # (n*d, n*d) product and the n(n-1) products of its class pairs, n(2n+1)
+    # operators in all), the two set-sized arrays of the Hermiticity and
+    # eigen checks, and the overlaps (W, W^dag, G and |G|^2)
+    block = np.empty(n * (2 * n + 1) * d * d, dtype=np.complex128)
 
     diff, spent = _views(block, a.shape, a.shape)
     np.conjugate(a.swapaxes(-1, -2), out=diff)
-    dev = float(_moduli(np.subtract(a, diff, out=diff), spent).max())
-    results.append(CheckResult("hermiticity", dev, dev <= tol))
+    hermiticity = float(_moduli(np.subtract(a, diff, out=diff), spent).max())
 
-    dev = float(np.abs(np.trace(a, axis1=-2, axis2=-1)).max())
-    results.append(CheckResult("tracelessness", dev, dev <= tol))
+    trace = float(np.abs(np.trace(a, axis1=-2, axis2=-1)).max())
 
-    # Gram matrix of identity plus the flat operator list; the operator block
-    # alone is the HS check, the whole matrix the completeness check
-    full, conj, gram = _views(block, (q, q), (q, q), (q, q))
-    full[0] = np.eye(d).reshape(q)
-    full[1:] = a.reshape(n * m, q)
-    np.matmul(np.conjugate(full, out=conj), full.T, out=gram)
-    gram[np.diag_indices_from(gram)] -= d
-    moduli = _moduli(gram, conj)
-    dev = float(moduli[1:, 1:].max())
-    results.append(CheckResult("hs_orthogonality", dev, dev <= tol))
-    completeness = float(moduli.max())
-
-    # [A_l, A_k] = -[A_k, A_l] entry for entry, so the pairs k < l cover every
-    # pair; at d = 2 a class has no pair and reports 0; np.max lets a NaN through
-    dev = float(np.max([_moduli(*_commutators(ops, block)).max(initial=0.0) for ops in a]))
-    results.append(CheckResult("within_class_commutation", dev, dev <= tol))
-
+    c = s.coefficients
     bases = s.family.array
     got, want = _views(block, (n, m * d, d), (n, m, d, d))
-    np.multiply(s.coefficients[np.newaxis, :, np.newaxis, :], bases[:, np.newaxis], out=want)
+    np.multiply(c[np.newaxis, :, np.newaxis, :], bases[:, np.newaxis], out=want)
     np.matmul(a.reshape(n, m * d, d), bases, out=got)
-    dev = float(_moduli(np.subtract(got.reshape(want.shape), want, out=want), got).max())
-    results.append(CheckResult("eigen_relation", dev, dev <= tol))
+    residual = _moduli(np.subtract(got.reshape(want.shape), want, out=want), got)
+    eigen = float(residual.max())
+    r_norm = np.sqrt(np.einsum("bkij,bkij->bk", residual, residual))
+    flat = a.view(np.float64)  # real and imaginary parts side by side
+    a_norm = np.sqrt(np.einsum("bkij,bkij->bk", flat, flat))
+
+    # G[b*d + i, b'*d + j] = <b_i|b'_j>; its diagonal blocks give eps_b
+    w_dag, w, g, spent = _views(block, (nd, d), (d, nd), (nd, nd), (nd * nd // 2,))
+    np.conjugate(bases.transpose(0, 2, 1), out=w_dag.reshape(n, d, d))
+    np.copyto(w.reshape(d, n, d), bases.transpose(1, 0, 2))
+    np.matmul(w_dag, w, out=g)
+    blocks = np.arange(n)
+    eps = np.linalg.norm(g.reshape(n, d, n, d)[blocks, :, blocks, :] - np.eye(d), axis=(1, 2))
+    overlaps = _moduli(g, spent)
+    np.square(overlaps, out=overlaps)
+    # c O c^T, block (b, b') = c O_bb' c^T, as two batched products over
+    # the spent W, W^dag and G
+    co, coc = _views(block.view(np.float64), (n, m, nd), (n, m, n, m))
+    np.matmul(c, overlaps.reshape(n, d, nd), out=co)
+    np.matmul(co.reshape(n, m, n, d), c.T, out=coc)
+    coc.reshape(n * m, n * m)[np.diag_indices(n * m)] -= d
+
+    # each bound adds the rounding of the dense products it stands in for:
+    # a k-term complex inner product is within sqrt(2) gamma_(k+2) of the
+    # sum of its terms' moduli (Higham, ch. 3), and (k + 2) ulp exceeds that
+    ulp = float(np.finfo(np.float64).eps)
+    e = r_norm * np.sqrt(1.0 + eps)[:, np.newaxis] + a_norm * eps[:, np.newaxis]
+    e_max = float(e.max())
+    a_max = float(a_norm.max())
+    c_max = float(np.abs(c).max())
+    hs = (float(np.abs(coc, out=coc).max()) + e_max * (2.0 * a_max + e_max)
+          + (d * d + 2) * ulp * a_max * a_max)
+    # [B D_k B^dag, B D_l B^dag] = B (D_k F D_l - D_l F D_k) B^dag with
+    # F = B^dag B - I, and |A|_2 <= h + e_max
+    h = (1.0 + float(eps.max())) * c_max
+    within = 0.0 if m < 2 else (2.0 * (2.0 * e_max * h + e_max * e_max)
+                                + 2.0 * float(((1.0 + eps) * eps).max()) * c_max * c_max
+                                + 2.0 * (d + 2) * ulp * (h + e_max) ** 2)
+    # the identity row of the dense Gram sums each diagonal in another order
+    # than np.trace: the two sums lie within sqrt(2) (d - 1) ulp sum |A_ii| of
+    # each other
+    diagonals = float(np.abs(np.diagonal(a, axis1=-2, axis2=-1)).sum(axis=-1).max())
+    completeness = max(hs, trace + 2.0 * d * ulp * diagonals)
+
+    # a bound above tol (or NaN) falls back to the dense definition
+    if not (hs <= tol and completeness <= tol):
+        dense_hs, dense_completeness = _dense_gram(a)
+        hs = hs if hs <= tol else dense_hs
+        completeness = completeness if completeness <= tol else dense_completeness
+    if not within <= tol:
+        # [A_l, A_k] = -[A_k, A_l] entry for entry, so the pairs k < l cover
+        # every pair; at d = 2 a class has no pair; np.max lets a NaN through
+        within = float(np.max([_moduli(*_commutators(ops, block)).max(initial=0.0)
+                               for ops in a]))
 
     # the commutators of the first operators of every class pair k < l
     witness = float(_moduli(*_commutators(a[:, 0], block)).max(axis=(1, 2)).min())
-    results.append(CheckResult("cross_class_witness", witness,
-                               witness >= NONCOMMUTING_FLOOR))
 
-    results.append(CheckResult("completeness", completeness, completeness <= tol))
-
-    return VerificationReport(tuple(results))
+    return VerificationReport((
+        CheckResult("hermiticity", hermiticity, hermiticity <= tol),
+        CheckResult("tracelessness", trace, trace <= tol),
+        CheckResult("hs_orthogonality", hs, hs <= tol),
+        CheckResult("within_class_commutation", within, within <= tol),
+        CheckResult("eigen_relation", eigen, eigen <= tol),
+        CheckResult("cross_class_witness", witness, witness >= NONCOMMUTING_FLOOR),
+        CheckResult("completeness", completeness, completeness <= tol),
+    ))

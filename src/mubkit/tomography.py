@@ -225,7 +225,11 @@ def _is_pure(rho: np.ndarray) -> bool:
 def _reference_state(reference, d: int) -> np.ndarray:
     """A reference as a d x d density matrix under matcore.checked's rule; a
     state vector becomes its normalized projector."""
-    ref = checked(reference, np.complex128, (d,) if np.ndim(reference) == 1 else (d, d),
+    try:
+        vector = np.ndim(reference) == 1
+    except ValueError:  # ragged: checked refuses it below, naming the reference
+        vector = False
+    ref = checked(reference, np.complex128, (d,) if vector else (d, d),
                   f"a comparison in dimension {d}", "a reference",
                   misfit="reference of shape {got} does not fit dimension {shape[0]}")
     if ref.ndim == 1:

@@ -5,7 +5,10 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mubkit import classes
 from mubkit.classes import (
     NONCOMMUTING_FLOOR,
     CommutingClass,
@@ -433,10 +436,11 @@ def per_class_commutator_maxima(ops):
 
 
 def per_class_checks(s, tol=DEFAULT_TOL):
-    """verify_set's seven metrics with the same GEMM calls as verify_set, but
-    the commutator checks reduced per operator pair and per class: the
-    stacked implementation must reproduce these values bit for bit, on any
-    BLAS kernel, for finite sets."""
+    """verify_set's seven dense metrics with the same GEMM calls as its dense
+    paths, but the commutator checks reduced per operator pair and per class:
+    verify_set must reproduce every pass flag, and bit for bit the values of
+    hermiticity, tracelessness, eigen_relation, cross_class_witness and of
+    every failing check, on any BLAS kernel, for finite sets."""
     d, a = s.dim, s.array
     n, m = a.shape[:2]
     results = []
@@ -500,13 +504,94 @@ TAMPERINGS = (None, identity_replacement, duplicate_operator, non_hermitian_pert
               real_perturbation)
 
 
+# the checks verify_set passes on a certified bound of the dense value
+BOUNDED = ("hs_orthogonality", "within_class_commutation", "completeness")
+
+
+def assert_agrees_with_dense(opset):
+    """Every pass flag is the dense definition's; the four exact checks report
+    the dense value bit for bit, and a bounded check reports a value at or
+    above it when it passes and the dense value itself when it fails."""
+    got = [(r.check, r.worst_deviation, r.passed) for r in verify_set(opset)]
+    want = per_class_checks(opset)
+    assert [(name, ok) for name, _, ok in got] == [(name, ok) for name, _, ok in want]
+    for (name, value, ok), (_, dense, _) in zip(got, want):
+        if name not in BOUNDED or not ok:
+            assert value == dense, name
+        else:
+            assert value >= dense, name
+
+
 # duplicate_operator needs two operators per class, so it starts at d = 3
 @pytest.mark.parametrize("d,tamper", [(d, t) for d in SUPPORTED_DIMS for t in TAMPERINGS
                                       if d > 2 or t is not duplicate_operator])
 def test_verify_set_values_equal_per_class_reference(d, tamper):
-    opset = supported_set(d) if tamper is None else tamper(supported_set(d))
-    got = [(r.check, r.worst_deviation, r.passed) for r in verify_set(opset)]
-    assert got == per_class_checks(opset)
+    assert_agrees_with_dense(supported_set(d) if tamper is None else tamper(supported_set(d)))
+
+
+# the bounds stay far below DEFAULT_TOL on every supported family, so
+# certifying one runs no dense Gram and makes one commutator product: the
+# witness's, over the first operators of the d + 1 classes
+@pytest.mark.parametrize("d", SUPPORTED_DIMS)
+def test_certifying_a_supported_set_runs_no_dense_check(d, monkeypatch):
+    stacks = []
+    commutators = classes._commutators
+
+    def counted(ops, block):
+        stacks.append(len(ops))
+        return commutators(ops, block)
+
+    monkeypatch.setattr(classes, "_dense_gram", lambda a: pytest.fail("the dense Gram ran"))
+    monkeypatch.setattr(classes, "_commutators", counted)
+    assert verify_set(supported_set(d)).passed
+    assert stacks == [d + 1]
+
+
+def bump_entry(opset, index, k, i, j, delta, mirror=False):
+    """opset with delta added to entry (i, j) of operator k of class index and,
+    with mirror, its conjugate to entry (j, i)."""
+    ops = list(opset.classes[index].operators)
+    ops[k] = ops[k].copy()
+    ops[k][i, j] += delta
+    if mirror:
+        ops[k][j, i] += np.conj(delta)
+    return replace_class_operators(opset, index, ops)
+
+
+# bumps that keep eigen_relation passing but push some bounds above tol while
+# the dense values stay below it, and bumps that fail the dense checks too
+@pytest.mark.parametrize("delta", [1e-11, 3e-11, 5e-11, 1e-10])
+@pytest.mark.parametrize("d", [5, 11])
+def test_verify_set_on_borderline_bumps_agrees_with_dense(d, delta):
+    assert_agrees_with_dense(bump_entry(supported_set(d), 1, 0, 0, 1, delta, mirror=True))
+
+
+# coefficient rows that sum to d * shift instead of zero: every operator keeps
+# its eigen relation, but has trace d * shift, and that trace, not the HS
+# products, sets the completeness value
+@pytest.mark.parametrize("d", [5, 11])
+def test_verify_set_on_shifted_coefficients_agrees_with_dense(d):
+    family = family_for(d)
+    coeffs = coefficient_vectors(d) + 1e-12
+    opset = OperatorSet(d, per_basis_classes(family, coeffs), family, coeffs)
+    report = verify_set(opset)
+    assert report.result("tracelessness").worst_deviation > 1e-12
+    assert report.passed
+    assert_agrees_with_dense(opset)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([d for d in ALL_DIMS if d <= 7]), st.data())
+def test_verify_set_flags_equal_dense_flags_under_sampled_bumps(d, data):
+    # one entry (i, j) of one operator moves by 1e-6 or 1e-6j, its mirror
+    # (j, i) does not
+    index = data.draw(st.integers(0, d), label="class")
+    k = data.draw(st.integers(0, d - 2), label="operator")
+    i, j = data.draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), label="entry")
+    delta = data.draw(st.sampled_from([1e-6, 1e-6j]), label="delta")
+    bumped = bump_entry(supported_set(d), index, k, i, j, delta)
+    assert ([(r.check, r.passed) for r in verify_set(bumped)]
+            == [(name, ok) for name, _, ok in per_class_checks(bumped)])
 
 
 # classes 0 and 5 are the first and the last class at d = 5; a NaN or an inf

@@ -274,6 +274,9 @@ TOMOGRAPHY_REFUSALS = {
     "fidelity-empty": (lambda: fidelity(np.zeros((0, 0)), np.zeros(0)),
                        r"^fidelity needs a square matrix with at least one entry, got shape "
                        r"\(0, 0\)$"),
+    "fidelity-ragged-reference": (lambda: fidelity(np.eye(2) / 2, [[1, 0], [1]]),
+                                  r"^a comparison in dimension 2 needs a reference of shape "
+                                  r"\(2, 2\): .*inhomogeneous shape"),
     "reference-non-numeric": (lambda: reconstruct_from_record(_exact_record(3),
                                                               build_set(family_for(3)),
                                                               reference=object()),

@@ -119,20 +119,27 @@ def coefficient_vectors(d: int) -> np.ndarray:
 
 def _operators(bases: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """For a stack of n bases: the operators ops[c, k] = sum_i coeffs[k][i]
-    |b_i><b_i| of basis c, summed in order i = 0..d-1 for all classes at once.
-    Each step writes its projectors and weighted terms into the same two
-    buffers."""
-    w = coeffs.astype(np.complex128)
+    |b_i><b_i| of basis c, summed in order i = 0..d-1 for all classes at once,
+    as an (n, d-1, d, d) view.
+
+    Step i forms the projectors of column i of every basis (a complex
+    product), then weights them in real arithmetic: one real row times the
+    projector stack read as float64 pairs. A real weight gives both parts
+    of (c + 0j) * p up to the sign of a zero, which the zeroed accumulator
+    drops, so the sum has the bytes of the complex weighted sum. Each step
+    writes its projectors and weighted terms into the same two buffers."""
     n, d = bases.shape[:2]
-    ops = np.zeros((n, d - 1, d, d), dtype=np.complex128)
-    term = np.empty_like(ops)
+    row = n * d * 2 * d  # the float64 entries of one projector stack
+    acc = np.zeros((d - 1, row))
+    term = np.empty_like(acc)
     proj = np.empty((n, d, d), dtype=np.complex128)
+    flat = proj.view(np.float64).reshape(1, row)
     for i in range(d):
         col = bases[:, :, i]  # |b_i> of every basis
         np.multiply(col[:, :, np.newaxis], col.conj()[:, np.newaxis, :], out=proj)
-        np.multiply(w[:, i, np.newaxis, np.newaxis], proj[:, np.newaxis], out=term)
-        ops += term
-    return ops
+        np.multiply(coeffs[:, i, np.newaxis], flat, out=term)
+        acc += term
+    return acc.view(np.complex128).reshape(d - 1, n, d, d).transpose(1, 0, 2, 3)
 
 
 def build_class(basis: Basis) -> CommutingClass:

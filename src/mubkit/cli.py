@@ -46,7 +46,6 @@ from .matcore import (
 from .mub import (
     BUILTIN_DIMS,
     MAX_DIM,
-    Basis,
     MubFamily,
     UnsupportedDimensionError,
     builtin_family,
@@ -120,7 +119,7 @@ def _write_export(out: Path, matrices: dict, manifest_file: str, manifest: dict)
 
 
 def _write_family(out: Path, family: MubFamily) -> list[str]:
-    matrices = {_basis_filename(basis.label): basis.matrix for basis in family.bases}
+    matrices = {_basis_filename(label): m for label, m in zip(family.labels, family.array)}
     manifest = {
         "dim": family.dim,
         "bases": list(family.labels),
@@ -165,7 +164,7 @@ def _read_export(src: Path) -> tuple[MubFamily, OperatorSet | None]:
     dim = json_int(manifest["dim"], "dim")
     labels = [json_str(label, "basis label") for label in _json_list(manifest["bases"], "bases")]
     matrices = _read_matrices(src, [_basis_filename(label) for label in labels], dim)
-    family = MubFamily(dim, tuple(Basis(dim, m, label) for m, label in zip(matrices, labels)))
+    family = MubFamily(dim, labels, matrices)
     if not (src / _OPERATORS_FILE).exists():
         return family, None
     manifest = read_json(src / _OPERATORS_FILE)
@@ -394,9 +393,9 @@ def cmd_tables(args: argparse.Namespace) -> int:
         write(f"== dimension {dim} ==\n")
         if dim > 2:
             write(f"(w = exp(2*pi*i/{dim}))\n")
-        for basis in family.bases:
-            write(f"\nbasis {basis.label} (columns are basis vectors):\n")
-            for line in _format_matrix(basis.matrix, dim):
+        for label, matrix in zip(family.labels, family.array):
+            write(f"\nbasis {label} (columns are basis vectors):\n")
+            for line in _format_matrix(matrix, dim):
                 write(f"  {line}\n")
         prefix = _TABLE_NAMES[dim]
         for k, op in enumerate(opset.operators, start=1):

@@ -16,12 +16,12 @@ is the first unknown case and is conjectured to top out at three bases, so
 constructors refuse it (UnsupportedDimensionError) rather than guess.
 
 Basis convention: columns are the basis vectors; row index is m-descending
-(row 0 is m = +j). Labels B1..B{d+1} with B1 the canonical basis.
+(row 0 is m = +j). Labels B1..B{d+1} with B1 the canonical basis. A family
+is its labels and one (d+1, d, d) array of basis matrices, built directly.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,41 +122,35 @@ class Basis:
 class MubFamily:
     """d+1 bases intended to be pairwise unbiased (certified by check_family).
 
-    The basis matrices are stored once, as the read-only complex array
-    ``array[i]`` = matrix of basis i (family order); each basis's ``matrix``
-    is a view of it.
+    A family is its labels and one read-only complex array of shape
+    (d+1, d, d): ``array[i]`` is the matrix of the basis ``labels[i]``, in
+    family order. ``array`` may be given as any array-like of that shape.
     """
 
     dim: int
-    bases: tuple[Basis, ...]
-    array: np.ndarray = field(init=False, repr=False)  # shape (d+1, d, d)
+    labels: tuple[str, ...]
+    array: np.ndarray = field(repr=False)  # shape (d+1, d, d)
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", json_int(self.dim, "dimension"))
-        if self.dim < 2:
-            raise ValueError(f"a family needs dimension at least 2, got {self.dim}")
-        if len(self.bases) != self.dim + 1:
-            raise ValueError(f"a complete family in dimension {self.dim} needs "
-                             f"{self.dim + 1} bases, got {len(self.bases)}")
-        seen = set()
-        for b in self.bases:
-            if b.dim != self.dim:
-                raise ValueError(f"basis {b.label!r} has dimension {b.dim}, expected {self.dim}")
-            if b.label in seen:
-                raise ValueError(f"family repeats basis label {b.label}")
-            seen.add(b.label)
-        a = frozen([b.matrix for b in self.bases], np.complex128,
-                   (self.dim + 1, self.dim, self.dim), f"a family in dimension {self.dim}", "bases")
-        # Basis(...) would copy its row again: re-point shallow copies instead
-        bases = tuple(map(copy.copy, self.bases))
-        for b, m in zip(bases, a):
-            object.__setattr__(b, "matrix", m)
-        object.__setattr__(self, "array", a)
-        object.__setattr__(self, "bases", bases)
+        d = json_int(self.dim, "dimension")
+        object.__setattr__(self, "dim", d)
+        if d < 2:
+            raise ValueError(f"a family needs dimension at least 2, got {d}")
+        labels = tuple(json_str(label, "basis label") for label in self.labels)
+        if len(labels) != d + 1:
+            raise ValueError(f"a complete family in dimension {d} needs "
+                             f"{d + 1} bases, got {len(labels)}")
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ValueError(f"family repeats basis label {label}")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "array", frozen(self.array, np.complex128, (d + 1, d, d),
+                                                 f"a family in dimension {d}", "bases"))
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(b.label for b in self.bases)
+    def bases(self) -> tuple[Basis, ...]:
+        """Basis i as ``labels[i]`` and a read-only copy of ``array[i]``."""
+        return tuple(Basis(self.dim, m, label) for m, label in zip(self.array, self.labels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,15 +213,13 @@ def one_axis_twist(d: int, t: float) -> BasisTransform:
 
 def odd_prime_family(d: int) -> MubFamily:
     """Complete family for odd prime d: canonical basis plus the d
-    quadratic-phase bases b = 0..d-1.
+    quadratic-phase bases b = 0..d-1, as one stack of matrices.
     """
     d = json_int(d, "dimension")
     if not _is_odd_prime(d):
         raise _refuse(d, "quadratic-phase construction requires an odd prime dimension")
     phases = _quadratic_phases(d, np.arange(d))
-    bases = [canonical_basis(d)]
-    bases += [Basis(d, m, f"B{b + 2}") for b, m in enumerate(phases)]
-    return MubFamily(d, tuple(bases))
+    return MubFamily(d, tuple(f"B{i + 1}" for i in range(d + 1)), [np.eye(d), *phases])
 
 
 def _builtin_2() -> tuple[np.ndarray, ...]:
@@ -272,7 +264,7 @@ def builtin_family(d: int) -> MubFamily:
         # for unit vectors, so B1 is the exact canonical basis here
         return odd_prime_family(5)
     mats = {2: _builtin_2, 3: _builtin_3, 4: _builtin_4}[d]()
-    return MubFamily(d, tuple(Basis(d, m, f"B{i + 1}") for i, m in enumerate(mats)))
+    return MubFamily(d, tuple(f"B{i + 1}" for i in range(d + 1)), mats)
 
 
 def family_for(d: int) -> MubFamily:
@@ -297,7 +289,7 @@ def check_family(f: MubFamily, tol: float = DEFAULT_TOL) -> VerificationReport:
     unbiasedness. Failures are report entries, never exceptions.
     """
     tol = validate_tolerance(tol)
-    n, d = len(f.bases), f.dim
+    n, d = len(f.labels), f.dim
     results = [CheckResult("member_count", float(abs(n - (d + 1))), n == d + 1)]
     # the blocks B_a^dag B_b of the pairs a <= b: first the n Gram matrices
     # a == b, then the overlaps of the distinct pairs a < b

@@ -163,7 +163,11 @@ def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
     entropy = [json_int(seed, "seed") & _MASK64, *(json_int(k, "seed key") for k in key)]
     if min(entropy) < 0:
         raise ValueError(f"seed key must be non-negative, got {min(entropy)}")
-    return np.random.SeedSequence(entropy)
+    # the words numpy makes of this list, in one pass: each integer as
+    # little-endian uint32 words, at least one
+    words = b"".join([n.to_bytes(4 * max(1, (n.bit_length() + 31) // 32), "little")
+                      for n in entropy])
+    return np.random.SeedSequence(np.frombuffer(words, dtype="<u4"))
 
 
 def derive_seed(seed: int, *key: int) -> int:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mubkit import classes
 from mubkit.classes import (
@@ -151,11 +152,10 @@ def test_conjugate_class_keeps_label_without_target():
 
 def test_build_set_rejects_non_mub_family():
     family = odd_prime_family(3)
-    bad = family.bases[2].matrix.copy()
-    bad[0, 0] += 1e-3
-    bases = family.bases[:2] + (Basis(3, bad, "B3"),) + family.bases[3:]
+    bad = family.array.copy()
+    bad[2, 0, 0] += 1e-3
     with pytest.raises(ValueError, match="fails MUB verification"):
-        build_set(MubFamily(3, bases))
+        build_set(MubFamily(3, family.labels, bad))
 
 
 def replace_class_operators(opset, index, ops):
@@ -248,8 +248,9 @@ def reachable_arrays(obj):
 @pytest.mark.parametrize("d", ALL_DIMS)
 def test_every_array_a_set_reaches_is_read_only(d):
     opset = build_set(family_for(d))
-    arrays = list(reachable_arrays(opset)) + list(reachable_arrays(opset.classes))
-    # array and its operator views, family.array and its basis views, the coefficients
+    arrays = [*reachable_arrays(opset), *reachable_arrays(opset.classes),
+              *reachable_arrays(opset.family.bases)]
+    # array and its operator views, family.array and its bases' matrices, the coefficients
     assert len(arrays) == 1 + (d + 1) * (d - 1) + 1 + (d + 1) + 1
     assert not any(a.flags.writeable for a in arrays)
 
@@ -292,7 +293,7 @@ DIMENSION_CALLS = {
     "random_density": lambda d: random_density(d, 1),
     "Basis": lambda d: Basis(d, np.eye(5)),
     "BasisTransform": lambda d: BasisTransform(d, np.eye(5)),
-    "MubFamily": lambda d: MubFamily(d, family_for(5).bases),
+    "MubFamily": lambda d: MubFamily(d, family_for(5).labels, family_for(5).array),
     "OperatorSet": lambda d: OperatorSet(d, supported_set(5).classes, supported_set(5).family,
                                          supported_set(5).coefficients),
 }
@@ -468,13 +469,13 @@ def per_class_checks(s, tol=DEFAULT_TOL):
     return results
 
 
-def per_basis_classes(family, coeffs):
-    """Operators one basis at a time: the projectors of the basis columns,
-    then the operators summed over them in order i = 0..d-1 with the real
-    coefficients."""
-    d = family.dim
+def per_basis_classes(bases, coeffs):
+    """Operators one basis of the (n, d, d) stack bases at a time: the
+    projectors of the basis columns, then the operators summed over them in
+    order i = 0..d-1 with the coefficients, each weight a complex product."""
+    d = bases.shape[1]
     ops = []
-    for m in family.array:
+    for m in bases:
         b = m.T
         proj = b[:, :, np.newaxis] * b.conj()[:, np.newaxis, :]
         acc = np.zeros((d - 1, d, d), dtype=np.complex128)
@@ -492,12 +493,35 @@ def supported_set(d):
 @pytest.mark.parametrize("d", SUPPORTED_DIMS)
 def test_build_set_bytes_equal_per_basis_reference(d):
     opset = supported_set(d)
-    ops = per_basis_classes(opset.family, opset.coefficients)
+    ops = per_basis_classes(opset.family.array, opset.coefficients)
     assert opset.array.tobytes() == ops.tobytes()
     for i, basis in enumerate(opset.family.bases):
         cls = build_class(basis)
         assert cls.basis_label == basis.label
         assert np.array(cls.operators).tobytes() == ops[i].tobytes()
+
+
+# entries of either sign, with +-0.0 drawn often, small enough that no
+# projector entry overflows: a real weight and a complex weight c + 0j give
+# the same parts of any finite projector entry, up to the sign of a zero
+STACK_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 7), st.integers(1, 4), st.data())
+def test_operator_sum_bytes_equal_per_basis_loop_on_any_stack(d, n, data):
+    # any finite stack, unitary or not, and real weights of random sign
+    parts = data.draw(hnp.arrays(np.float64, (n, d, d, 2), elements=STACK_ENTRIES), label="stack")
+    stack = parts.view(np.complex128)[..., 0]
+    moduli = data.draw(hnp.arrays(np.float64, (d - 1, d), elements=st.floats(0, 1e3)),
+                       label="weights")
+    negative = data.draw(hnp.arrays(np.bool_, (d - 1, d)), label="signs")
+    coeffs = np.where(negative, -moduli, moduli)
+    assert classes._operators(stack, coeffs).tobytes() == per_basis_classes(stack, coeffs).tobytes()
+    # one basis alone sums to the bytes of class 0 of the stack, as build_set sums it
+    cls = build_class(Basis(d, stack[0]))
+    want = classes._operators(stack, coefficient_vectors(d))[0]
+    assert np.array(cls.operators).tobytes() == want.tobytes()
 
 
 TAMPERINGS = (None, identity_replacement, duplicate_operator, non_hermitian_perturbation,
@@ -573,7 +597,7 @@ def test_verify_set_on_borderline_bumps_agrees_with_dense(d, delta):
 def test_verify_set_on_shifted_coefficients_agrees_with_dense(d):
     family = family_for(d)
     coeffs = coefficient_vectors(d) + 1e-12
-    opset = OperatorSet(d, per_basis_classes(family, coeffs), family, coeffs)
+    opset = OperatorSet(d, per_basis_classes(family.array, coeffs), family, coeffs)
     report = verify_set(opset)
     assert report.result("tracelessness").worst_deviation > 1e-12
     assert report.passed

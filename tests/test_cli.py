@@ -384,6 +384,19 @@ def test_verify_refuses_numeric_labels_even_with_matching_files(tmp_path, capsys
     assert data == {"error": "io", "message": "basis label must be a string, got 1"}
 
 
+def test_verify_refuses_family_export_missing_a_basis(tmp_path, capsys):
+    # the three listed bases are sound, but a complete family needs d + 1
+    out = tmp_path / "fam"
+    run_json(capsys, "mub", "--dim", "3", "--out", str(out))
+    manifest = json.loads((out / "family.json").read_text())
+    manifest["bases"].pop()
+    (out / "family.json").write_text(json.dumps(manifest))
+    code, data = run_json(capsys, "verify", "--in", str(out))
+    assert code == EXIT_IO
+    assert data == {"error": "io",
+                    "message": "a complete family in dimension 3 needs 4 bases, got 3"}
+
+
 @pytest.mark.parametrize("outside", ["absolute", "parent"])
 def test_verify_refuses_operator_files_outside_the_export(tmp_path, capsys, outside):
     # the name points at a valid copy of the operator, so an export that

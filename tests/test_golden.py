@@ -19,6 +19,16 @@ operators reports pass, so their hs_orthogonality, within_class_commutation
 and completeness values are the certified bounds verify_set passes on, not
 the dense maxima; their pins were recorded with those bounds. A report that
 fails, as at --tol 1e-17, carries the dense maxima.
+
+The operator arrays hold on every OpenBLAS kernel, but not on every SIMD
+dispatch of numpy's own loops. Each projector is an elementwise complex
+product, and numpy picks that loop at run time from the CPU's features: the
+X86_V3 loop (AVX2 with FMA) rounds some products differently from the
+baseline loop. The hashes were recorded with the X86_V3 loop or above. Under
+NPY_DISABLE_CPU_FEATURES set to every name in numpy's __cpu_dispatch__, or
+on a CPU without AVX2 and FMA, the operator arrays of every odd d, the
+tables output and both operators exports differ from their pins; the family
+matrices, the mub exports and the tensors export do not.
 """
 
 import contextlib
@@ -50,6 +60,12 @@ GOLDEN = {
          "3db96c41fec2b7f90ef756d5d6d291dea2dba7081af8c45c895b251ab95ded15"),
     13: ("23aadbed673586e377cfe5cc1608d3558b9a264e4ead824aafcc7f88bed4e6ae",
          "2ab7f8941b4b173c74eaa643fa619ccaee0f33a1a7fd317a0f0e64e103ea7176"),
+    17: ("048d5c7c59f23cb342882779952ced1c095b6a9fd458804f1a5a6c12b3dd95c3",
+         "ff33e0fddb1a931d023a1e4f6d0f2f15f6aeb00ac67034347f8bd4ef5b7b1b8d"),
+    19: ("be02398b2dcef58bdb3cc9abdcd91a86819143758a7bd38c51f247decb614ca2",
+         "fc92ec984e4b9d6f1d936c75b08f4fc9abfe5cb9d21ec95435f9bdf20269771e"),
+    23: ("8dce6ae8b2bbeeb876ee57feda3a938f8405789f4dae12229ab81853ed7e37dd",
+         "c82c5d00b597d41bab194fe42569c8eb07983eaf2b626b1dc319ab8c707db25e"),
 }
 TABLES_SHA256 = "9f63382c49026e5214e75036388cc13af6573c13911d4b85894f78f0f76ff940"
 

@@ -1,5 +1,6 @@
 """Tests for MUB family construction and certification."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -77,10 +78,9 @@ def reference_family_checks(family, tol=DEFAULT_TOL):
 
 
 def perturbed(family, index, row, col, delta):
-    bad = family.bases[index].matrix.copy()
-    bad[row, col] += delta
-    basis = Basis(family.dim, bad, family.bases[index].label)
-    return MubFamily(family.dim, family.bases[:index] + (basis,) + family.bases[index + 1:])
+    bad = family.array.copy()
+    bad[index, row, col] += delta
+    return MubFamily(family.dim, family.labels, bad)
 
 
 def test_canonical_basis_is_identity():
@@ -213,9 +213,10 @@ def test_out_of_range_dimensions_refused(constructor, d):
 
 
 MUB_REFUSALS = {
-    "family-basis-dim": (lambda: MubFamily(3, family_for(3).bases[:3]
-                                           + (Basis(4, np.eye(4), "B4"),)),
-                         "basis 'B4' has dimension 4, expected 3"),
+    # four labels and four bases, each of dimension 4: one shape check on the array
+    "family-basis-dim": (lambda: MubFamily(3, family_for(3).labels, family_for(4).array[:4]),
+                         r"^a family in dimension 3 needs bases of shape \(4, 3, 3\), "
+                         r"got \(4, 4, 4\)$"),
     "transform-shape": (lambda: BasisTransform(3, np.eye(2)),
                         r"^a transform in dimension 3 needs a matrix of shape \(3, 3\), "
                         r"got \(2, 2\)$"),
@@ -235,22 +236,22 @@ def test_mub_constructors_and_checks_refuse_bad_dimensions(call, message):
 
 def test_check_family_flags_perturbed_member():
     family = odd_prime_family(3)
-    bad = family.bases[1].matrix.copy()
-    bad[0, 0] += 1e-6
-    bases = (family.bases[0], Basis(3, bad, "B2")) + family.bases[2:]
-    report = check_family(MubFamily(3, bases))
+    bad = family.array.copy()
+    bad[1, 0, 0] += 1e-6
+    report = check_family(MubFamily(3, family.labels, bad))
     assert not report.passed
     assert not report.result("orthonormality").passed
 
 
 def test_family_validation_errors():
-    bases = tuple(odd_prime_family(3).bases[:3])
-    with pytest.raises(ValueError):
-        MubFamily(3, bases)  # wrong member count
+    family = odd_prime_family(3)
+    with pytest.raises(ValueError, match=r"^a complete family in dimension 3 needs 4 bases, "
+                                         r"got 3$"):
+        MubFamily(3, family.labels[:3], family.array[:3])
     with pytest.raises(ValueError, match="at least 2, got 1"):
-        MubFamily(1, (Basis(1, np.eye(1), "B1"), Basis(1, np.eye(1), "B2")))
+        MubFamily(1, ("B1", "B2"), np.ones((2, 1, 1)))
     with pytest.raises(ValueError, match="at least 2, got -1"):
-        MubFamily(-1, ())
+        MubFamily(-1, (), ())
     with pytest.raises(ValueError):
         Basis(3, np.eye(2))  # shape mismatch
     with pytest.raises(ValueError):
@@ -267,9 +268,13 @@ def test_bases_are_read_only_views_of_one_array(d):
     assert a.shape == (d + 1, d, d)
     assert a.dtype == np.complex128
     assert not a.flags.writeable
+    # a family stores nothing but its labels and its one array
+    assert [f.name for f in dataclasses.fields(MubFamily)] == ["dim", "labels", "array"]
+    # and basis i is built from array[i] and labels[i] on access
     for i, basis in enumerate(family.bases):
-        assert np.shares_memory(a, basis.matrix)
-        assert np.shares_memory(a[i], basis.matrix)
+        assert basis.dim == d and basis.label == family.labels[i]
+        assert np.array_equal(basis.matrix, a[i])
+        assert not basis.matrix.flags.writeable
     with pytest.raises(ValueError):
         family.array[1, 0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -280,9 +285,9 @@ def test_bases_are_read_only_views_of_one_array(d):
 def test_family_array_holds_the_callers_matrices_in_order(d):
     # bases passed in reverse order keep that order, and a later write to the
     # caller's matrices leaves the family as built
-    mats = [b.matrix.copy() for b in family_for(d).bases][::-1]
+    mats = [m.copy() for m in family_for(d).array][::-1]
     labels = tuple(f"B{i + 1}" for i in range(d + 1))[::-1]
-    family = MubFamily(d, tuple(Basis(d, m, label) for m, label in zip(mats, labels)))
+    family = MubFamily(d, labels, mats)
     assert family.labels == labels
     want = [m.copy() for m in mats]
     for m in mats:
@@ -312,8 +317,7 @@ def transformed(family, seed):
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     phases = np.exp(2j * np.pi * rng.random((d + 1, d)))
-    return MubFamily(d, tuple(Basis(d, u @ b.matrix * phi, b.label)
-                              for b, phi in zip(family.bases, phases)))
+    return MubFamily(d, family.labels, [u @ m * phi for m, phi in zip(family.array, phases)])
 
 
 @settings(deadline=None, max_examples=60)
@@ -334,9 +338,8 @@ def test_check_family_invariant_under_unitary_and_column_phases(d, seed):
 
 def test_family_refuses_repeated_label():
     family = odd_prime_family(3)
-    bases = (family.bases[0], Basis(3, family.bases[1].matrix, "B1")) + family.bases[2:]
     with pytest.raises(ValueError, match="repeats basis label B1"):
-        MubFamily(3, bases)
+        MubFamily(3, ("B1", "B1", "B3", "B4"), family.array)
 
 
 LABEL_REFUSALS = {
@@ -345,8 +348,7 @@ LABEL_REFUSALS = {
     "transform-source": lambda: BasisTransform(3, np.eye(3), 1, "B2"),
     "transform-target": lambda: BasisTransform(3, np.eye(3), "B1", ["B2"]),
     # numbered like a family's bases, which an export writes and no reader accepts
-    "family-of-numbered-bases": lambda: MubFamily(3, tuple(
-        Basis(3, b.matrix, i) for i, b in enumerate(family_for(3).bases))),
+    "family-of-numbered-bases": lambda: MubFamily(3, range(4), family_for(3).array),
 }
 
 
@@ -379,6 +381,8 @@ STORED_ARRAYS = {
                                  lambda: _d3_set().coefficients, "coefficients"),
     "MeasurementRecord.probs": (lambda a: MeasurementRecord(3, ("B1", "B2", "B3", "B4"), a),
                                 lambda: np.full((4, 3), 1 / 3), "probs"),
+    "MubFamily.array": (lambda a: MubFamily(3, ("B1", "B2", "B3", "B4"), a),
+                        lambda: family_for(3).array, "array"),
 }
 
 

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mubkit.classes import build_set
@@ -519,6 +519,13 @@ def test_reconstruction_rejects_record_with_foreign_basis_order(relabel):
 
 @settings(deadline=None)
 @given(st.integers(-2 ** 70, 2 ** 70), st.lists(st.integers(0, 2 ** 70 - 1), max_size=3))
+# each integer becomes one word, or more at each 32-bit boundary; a zero is one word
+@example(0, [0])
+@example(1, [])
+@example(2 ** 32 - 1, [2 ** 32 - 1, 0])
+@example(2 ** 32, [2 ** 32])
+@example(2 ** 64 - 1, [2 ** 64 - 1, 2 ** 64])
+@example(-5, [1, 2])
 def test_seed_sequence_pool_matches_the_list_form(seed, key):
     want = np.random.SeedSequence([seed & MASK64, *key]).pool
     assert np.array_equal(_seed_sequence(seed, *key).pool, want)

@@ -52,32 +52,44 @@ def root_of_unity(d: int, power: int = 1) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
-def checked(a, dtype, shape, owner: str, what: str,
-            misfit="{owner} needs {what} of shape {shape}, got {got}",
-            empty="{owner} needs {what} with at least one entry, got shape {got}") -> np.ndarray:
+def coerced(a, dtype, shape, owner: str, what: str) -> np.ndarray:
+    """A C-ordered copy of a as dtype: checked's first step. A ValueError naming
+    owner, what and shape refuses non-numeric or ragged input."""
+    try:
+        return np.array(a, dtype=dtype, order="C")
+    except (TypeError, ValueError) as exc:  # a non-numeric entry, or ragged input
+        raise ValueError(f"{owner} needs {what} of shape {shape}: {exc}") from exc
+
+
+def fitted(out: np.ndarray, shape, owner: str, what: str,
+           misfit="{owner} needs {what} of shape {shape}, got {got}",
+           empty="{owner} needs {what} with at least one entry, got shape {got}") -> np.ndarray:
+    """out, a coerced array, if it fits shape, has an entry and is finite: the rest
+    of checked's rule, on the array itself."""
+    if out.shape != shape:  # equal to an all-integer shape, out fits without a walk
+        lengths = {}  # the length each named axis took
+        fits = out.ndim == len(shape) and all(
+            n == (lengths.setdefault(s, n) if isinstance(s, str) else s)
+            for s, n in zip(shape, out.shape))
+        if not fits:
+            raise ValueError(misfit.format(owner=owner, what=what, shape=shape, got=out.shape))
+    if out.size == 0:
+        raise ValueError(empty.format(owner=owner, what=what, shape=shape, got=out.shape))
+    if not np.isfinite(out).all():
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    return out
+
+
+def checked(a, dtype, shape, owner: str, what: str, **messages) -> np.ndarray:
     """A C-ordered copy of a under the package's one array rule, for stored arrays
     and matrix arguments alike. A ValueError naming owner and what refuses
     non-numeric input, a copy whose shape does not fit shape (ragged input
     included) and one with no entries, and a ValueError refuses one holding
     NaN/Inf. An int in shape is an axis length; a string names one, and the axes
     one string names must be equal, so ("n", "n") fits any square matrix. The
-    misfit and empty messages are formatted with owner, what, shape and got, the
-    copy's shape."""
-    try:
-        out = np.array(a, dtype=dtype, order="C")
-    except (TypeError, ValueError) as exc:  # a non-numeric entry, or ragged input
-        raise ValueError(f"{owner} needs {what} of shape {shape}: {exc}") from exc
-    lengths = {}  # the length each named axis took
-    fits = out.ndim == len(shape) and all(
-        n == (lengths.setdefault(s, n) if isinstance(s, str) else s)
-        for s, n in zip(shape, out.shape))
-    if not fits:
-        raise ValueError(misfit.format(owner=owner, what=what, shape=shape, got=out.shape))
-    if out.size == 0:
-        raise ValueError(empty.format(owner=owner, what=what, shape=shape, got=out.shape))
-    if not np.isfinite(out).all():
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    return out
+    misfit and empty messages (see fitted) are formatted with owner, what, shape
+    and got, the copy's shape."""
+    return fitted(coerced(a, dtype, shape, owner, what), shape, owner, what, **messages)
 
 
 def frozen(a, dtype, shape, owner: str, what: str) -> np.ndarray:
@@ -170,6 +182,8 @@ def read_json(path) -> dict:
 
 def json_int(value, field: str) -> int:
     """int(value) for a Python or numpy integer; floats, bools and strings are refused."""
+    if type(value) is int:  # the common case, ahead of the ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return int(value)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import OperatorSet
-from .matcore import (_json_number, checked, dimension, frozen, json_int, json_str, read_json,
-                      write_json)
+from .matcore import (_json_number, checked, coerced, dimension, fitted, frozen, json_int,
+                      json_str, read_json, write_json)
 from .mub import MubFamily
 
 __all__ = [
@@ -137,7 +137,7 @@ def probabilities(rho, family: MubFamily) -> MeasurementRecord:
     m = family.array
     # row b is the diagonal of B_b^dag rho B_b
     p = (m.conj() * (rho @ m)).sum(axis=1).real
-    return MeasurementRecord(family.dim, family.labels, np.clip(p, 0.0, 1.0), None)
+    return MeasurementRecord(family.dim, family.labels, p.clip(0.0, 1.0), None)
 
 
 def coefficients_from_probabilities(record: MeasurementRecord, s: OperatorSet) -> np.ndarray:
@@ -157,9 +157,9 @@ def coefficients_from_probabilities(record: MeasurementRecord, s: OperatorSet) -
 # ---------------------------------------------------------------------------
 # sampling and metrics
 
-def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
+def _seed_words(seed: int, *key: int) -> np.ndarray:
     # The package's one seed derivation: any integer seed, reduced mod 2**64,
-    # then non-negative integer keys.
+    # then non-negative integer keys. Every stream is seeded from these words.
     entropy = [json_int(seed, "seed") & _MASK64, *(json_int(k, "seed key") for k in key)]
     if min(entropy) < 0:
         raise ValueError(f"seed key must be non-negative, got {min(entropy)}")
@@ -167,7 +167,11 @@ def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
     # little-endian uint32 words, at least one
     words = b"".join([n.to_bytes(4 * max(1, (n.bit_length() + 31) // 32), "little")
                       for n in entropy])
-    return np.random.SeedSequence(np.frombuffer(words, dtype="<u4"))
+    return np.frombuffer(words, dtype="<u4")
+
+
+def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(_seed_words(seed, *key))
 
 
 def derive_seed(seed: int, *key: int) -> int:
@@ -175,9 +179,19 @@ def derive_seed(seed: int, *key: int) -> int:
     return int(_seed_sequence(seed, *key).generate_state(1, np.uint64)[0])
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    # one independent, platform-stable stream per (seed, basis index)
-    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, index)))
+def _stream(words: np.ndarray) -> np.random.Generator:
+    # one independent, platform-stable PCG64 stream per seed word array
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+
+
+def _basis_words(seed: int, bases: int) -> np.ndarray:
+    # row b holds the words of (seed, b): the seed is checked and its words
+    # built once for all bases
+    head = _seed_words(seed)
+    words = np.empty((bases, head.size + 1), dtype=np.uint32)
+    words[:, :-1] = head
+    words[:, -1] = np.arange(bases)  # a basis index below 2**32 is one word
+    return words
 
 
 def shot_count(n) -> int:
@@ -199,16 +213,17 @@ def sample_shots(record: MeasurementRecord, n: int, seed: int) -> MeasurementRec
     if record.shots is not None:
         raise ValueError("record is already sampled; start from an exact record")
     n = shot_count(n)
-    p = np.clip(record.probs, 0.0, None)
+    p = np.maximum(record.probs, 0.0)  # np.clip(probs, 0.0, None) without its dispatch
     p = p / p.sum(axis=1, keepdims=True)
-    counts = np.array([_stream(seed, b).multinomial(n, row) for b, row in enumerate(p)])
+    counts = np.array([_stream(w).multinomial(n, row)
+                       for w, row in zip(_basis_words(seed, len(p)), p)])
     return MeasurementRecord(record.dim, record.labels, counts / float(n), n)
 
 
 def random_density(d: int, seed: int) -> np.ndarray:
     """Ginibre-distributed density matrix G G^dag / Tr(G G^dag)."""
     d = dimension(d)
-    rng = _stream(seed, 0)
+    rng = _stream(_seed_words(seed, 0))
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
@@ -219,6 +234,11 @@ def trace_distance(a, b) -> float:
     a = checked(a, np.complex128, ("n", "n"), "trace_distance", "a square matrix")
     b = checked(b, np.complex128, a.shape, "trace_distance", "a second matrix",
                 misfit="shape mismatch: {shape} vs {got}")
+    return _trace_distance(a, b)
+
+
+def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    # on checked operands; reconstruct_from_record scores its own estimate here
     return 0.5 * float(np.linalg.svd(a - b, compute_uv=False).sum())
 
 
@@ -227,15 +247,21 @@ def _is_pure(rho: np.ndarray) -> bool:
 
 
 def _reference_state(reference, d: int) -> np.ndarray:
-    """A reference as a d x d density matrix under matcore.checked's rule; a
-    state vector becomes its normalized projector."""
+    """A reference as a d x d density matrix under matcore.checked's rule, converted
+    once; a state vector becomes its normalized projector."""
+    owner, what = f"a comparison in dimension {d}", "a reference"
     try:
-        vector = np.ndim(reference) == 1
-    except ValueError:  # ragged: checked refuses it below, naming the reference
-        vector = False
-    ref = checked(reference, np.complex128, (d,) if vector else (d, d),
-                  f"a comparison in dimension {d}", "a reference",
-                  misfit="reference of shape {got} does not fit dimension {shape[0]}")
+        ref = coerced(reference, np.complex128, (d, d), owner, what)
+    except ValueError:  # refused naming (d,) if the reference reads as a vector
+        try:
+            vector = np.ndim(reference) == 1
+        except ValueError:  # ragged
+            vector = False
+        if vector:
+            coerced(reference, np.complex128, (d,), owner, what)  # raises, naming (d,)
+        raise
+    ref = fitted(ref, (d,) if ref.ndim == 1 else (d, d), owner, what,
+                 misfit="reference of shape {got} does not fit dimension {shape[0]}")
     if ref.ndim == 1:
         norm = np.vdot(ref, ref).real
         if norm <= 0.0:
@@ -253,6 +279,11 @@ def fidelity(rho, reference) -> float:
     ref = _reference_state(reference, len(rho))
     if not _is_pure(ref):
         raise ValueError("reference is not pure; use trace_distance for mixed states")
+    return _fidelity(rho, ref)
+
+
+def _fidelity(rho: np.ndarray, ref: np.ndarray) -> float:
+    # on a checked or reconstructed state and a pure reference state
     return float(np.trace(rho @ ref).real)
 
 
@@ -260,12 +291,17 @@ def project_psd(rho) -> np.ndarray:
     """Nearest physical state in the clip-and-renormalize sense: zero out
     negative eigenvalues, rescale to unit trace.
     """
-    rho = checked(rho, np.complex128, ("n", "n"), "project_psd", "a square matrix")
+    return _project_psd(checked(rho, np.complex128, ("n", "n"), "project_psd", "a square matrix"))
+
+
+def _project_psd(rho: np.ndarray) -> np.ndarray:
+    # on a checked matrix; reconstruct_from_record projects its own estimate here
     vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    vals = np.clip(vals, 0.0, None)
-    if vals.sum() <= 0.0:
+    vals = np.maximum(vals, 0.0)  # np.clip(vals, 0.0, None) without its dispatch
+    total = vals.sum()
+    if total <= 0.0:
         raise ValueError("projection collapsed to zero; input is not close to a state")
-    vals = vals / vals.sum()
+    vals = vals / total
     return (vecs * vals) @ vecs.conj().T
 
 
@@ -276,17 +312,18 @@ def reconstruct_from_record(record: MeasurementRecord, s: OperatorSet,
 
     With project=True the linear estimate is clipped to the physical cone.
     If a reference state is supplied the report carries the trace distance
-    to it, plus fidelity when the reference is pure.
+    to it, plus fidelity when the reference is pure: the values trace_distance
+    and fidelity give, from one check of the reference.
     """
     estimate = reconstruct(coefficients_from_probabilities(record, s), s)
     if project:
-        estimate = project_psd(estimate)
+        estimate = _project_psd(estimate)
     td = fid = None
     if reference is not None:
         ref = _reference_state(reference, s.dim)
-        td = trace_distance(estimate, ref)
+        td = _trace_distance(estimate, ref)
         if _is_pure(ref):
-            fid = fidelity(estimate, ref)
+            fid = _fidelity(estimate, ref)
     return ReconstructionReport(estimate, td, fid, record.shots, bool(project))
 
 

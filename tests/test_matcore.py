@@ -1,7 +1,10 @@
 """Tests for the shared matrix utilities and JSON wire format."""
 
+import enum
 import json
 import os
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,6 +148,23 @@ def test_json_int_accepts_only_integers():
     one["rows"] = True  # bool is an int subclass; True would read as 1
     with pytest.raises(ValueError):
         matrix_from_json(one)
+
+
+class _Level(enum.IntEnum):
+    THREE = 3
+
+
+def test_json_int_fast_path_keeps_the_integer_rule():
+    # a plain int returns before the ABC check; everything else still meets it
+    for bad in (True, np.bool_(True), 1.0, "3", Fraction(3)):
+        message = re.escape(f"dim must be an integer, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            json_int(bad, "dim")
+    for good in (np.int64(3), _Level.THREE):
+        value = json_int(good, "dim")
+        assert type(value) is int and value == 3
+    big = 2 ** 70
+    assert json_int(big, "dim") is big
 
 
 def test_matrix_file_round_trip(tmp_path):

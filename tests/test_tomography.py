@@ -29,7 +29,7 @@ from mubkit.tomography import (
     trace_distance,
     write_record,
 )
-from mubkit.tomography import _seed_sequence
+from mubkit.tomography import _basis_words, _seed_sequence
 from helpers import max_abs
 
 ALL_DIMS = (2, 3, 4, 5, 7)
@@ -277,6 +277,10 @@ TOMOGRAPHY_REFUSALS = {
     "fidelity-ragged-reference": (lambda: fidelity(np.eye(2) / 2, [[1, 0], [1]]),
                                   r"^a comparison in dimension 2 needs a reference of shape "
                                   r"\(2, 2\): .*inhomogeneous shape"),
+    # a one-dimensional reference is refused naming the state-vector shape
+    "reference-non-numeric-vector": (lambda: fidelity(np.eye(3) / 3, ["x", 1, 0]),
+                                     r"^a comparison in dimension 3 needs a reference of shape "
+                                     r"\(3,\): "),
     "reference-non-numeric": (lambda: reconstruct_from_record(_exact_record(3),
                                                               build_set(family_for(3)),
                                                               reference=object()),
@@ -354,6 +358,39 @@ def test_reconstruction_report_fidelity_for_pure_reference():
         reconstruct_from_record(record, opset, reference=np.zeros(2))
     with pytest.raises(ValueError, match="finite"):
         reconstruct_from_record(record, opset, reference=np.array([np.nan, 1.0]))
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DIMS)
+def test_report_metrics_are_the_public_metrics(d):
+    # reconstruct_from_record checks the reference once and scores its own
+    # estimate; the values are those of the public trace_distance and fidelity
+    family = family_for(d)
+    opset = build_set(family)
+    rho = random_density(d, d)
+    record = sample_shots(probabilities(rho, family), 1000, seed=d)
+    rng = np.random.default_rng(d)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    pure = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real  # the projector of psi
+    for project in (False, True):
+        for reference, state in ((rho, rho), (pure, pure), (psi, pure)):
+            report = reconstruct_from_record(record, opset, project=project, reference=reference)
+            assert report.trace_distance == trace_distance(report.estimate, state)
+            if reference is rho:
+                assert report.fidelity is None
+            else:
+                assert report.fidelity == fidelity(report.estimate, reference)
+    bad = np.eye(d, dtype=complex) / d
+    bad[0, 1] = np.nan
+    refusals = (
+        (bad, r"^matrix entries must be finite \(no NaN/Inf\)$"),
+        ([[1] * d, [1]], rf"^a comparison in dimension {d} needs a reference of shape "
+                         rf"\({d}, {d}\): .*inhomogeneous shape"),
+        (np.ones(d + 1), rf"^reference of shape \({d + 1},\) does not fit dimension {d}$"),
+        (np.eye(d - 1), rf"^reference of shape \({d - 1}, {d - 1}\) does not fit dimension {d}$"),
+    )
+    for reference, message in refusals:
+        with pytest.raises(ValueError, match=message):
+            reconstruct_from_record(record, opset, reference=reference)
 
 
 def test_measurement_record_copies_the_callers_array():
@@ -529,6 +566,34 @@ def test_reconstruction_rejects_record_with_foreign_basis_order(relabel):
 def test_seed_sequence_pool_matches_the_list_form(seed, key):
     want = np.random.SeedSequence([seed & MASK64, *key]).pool
     assert np.array_equal(_seed_sequence(seed, *key).pool, want)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(-2 ** 70, 2 ** 70))
+@example(0)
+@example(1)
+@example(2 ** 32 - 1)
+@example(2 ** 32)
+@example(2 ** 64 - 1)
+@example(2 ** 64 + 5)
+@example(-1)
+@example(-5)
+def test_basis_words_are_the_per_basis_rule(seed):
+    # sample_shots builds one word array per record; row b must seed the stream
+    # that (seed, b) alone seeds, for every base count of a supported d
+    for bases in range(3, 28):
+        rows = [[(b % 5 + 1) / 16, (b % 3 + 2) / 16] for b in range(bases)]
+        record = MeasurementRecord(3, tuple(f"B{b}" for b in range(bases)),
+                                   [row + [1 - sum(row)] for row in rows])
+        sampled = sample_shots(record, 1000, seed)
+        words = _basis_words(seed, bases)
+        for b in range(bases):
+            want = np.random.SeedSequence([seed & MASK64, b])
+            pool = np.random.SeedSequence(words[b]).pool
+            assert np.array_equal(pool, want.pool)
+            assert np.array_equal(pool, _seed_sequence(seed, b).pool)
+            counts = np.random.Generator(np.random.PCG64(want)).multinomial(1000, record.probs[b])
+            assert np.array_equal(sampled.probs[b], counts / 1000.0)
 
 
 def test_seed_keys_must_be_non_negative_integers():

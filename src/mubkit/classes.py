@@ -241,6 +241,7 @@ def _dense_gram(a: np.ndarray) -> tuple[float, float]:
     return float(moduli[1:, 1:].max()), float(moduli.max())
 
 
+@np.errstate(all="ignore")  # an overflow is a failed check, never a warning or an exception
 def verify_set(s: OperatorSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Re-derive every claimed property of an operator set numerically.
 

@@ -77,8 +77,8 @@ _TABLE_NAMES = {2: "sigma", 3: "alpha", 4: "beta", 5: "gamma"}
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # rendered whole first, so a NaN or Inf is a ValueError before any byte is written
+    sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _emit_error(kind: str, message: str, **extra) -> None:

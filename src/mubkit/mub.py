@@ -110,13 +110,6 @@ class Basis:
         object.__setattr__(self, "matrix", frozen(self.matrix, np.complex128, (self.dim,) * 2,
                                                   f"a basis in dimension {self.dim}", "a matrix"))
 
-    def vector(self, i: int) -> np.ndarray:
-        return self.matrix[:, i]
-
-    def projector(self, i: int) -> np.ndarray:
-        v = self.matrix[:, i]
-        return np.outer(v, v.conj())
-
 
 @dataclass(frozen=True, eq=False)
 class MubFamily:
@@ -284,6 +277,7 @@ def family_for(d: int) -> MubFamily:
 # ---------------------------------------------------------------------------
 # checks and transforms
 
+@np.errstate(all="ignore")  # an overflow is a failed check, never a warning or an exception
 def check_family(f: MubFamily, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Certify a family: member count, per-basis orthonormality, pairwise
     unbiasedness. Failures are report entries, never exceptions.

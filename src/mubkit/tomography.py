@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import OperatorSet
-from .matcore import (_json_number, checked, coerced, dimension, fitted, frozen, json_int,
-                      json_str, read_json, write_json)
+from .matcore import (_json_number, checked, dimension, frozen, json_int, json_str, read_json,
+                      write_json)
 from .mub import MubFamily
 
 __all__ = [
@@ -170,13 +170,9 @@ def _seed_words(seed: int, *key: int) -> np.ndarray:
     return np.frombuffer(words, dtype="<u4")
 
 
-def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(_seed_words(seed, *key))
-
-
 def derive_seed(seed: int, *key: int) -> int:
     """Stable 64-bit seed derived from a user seed and a key path."""
-    return int(_seed_sequence(seed, *key).generate_state(1, np.uint64)[0])
+    return int(np.random.SeedSequence(_seed_words(seed, *key)).generate_state(1, np.uint64)[0])
 
 
 def _stream(words: np.ndarray) -> np.random.Generator:
@@ -247,22 +243,16 @@ def _is_pure(rho: np.ndarray) -> bool:
 
 
 def _reference_state(reference, d: int) -> np.ndarray:
-    """A reference as a d x d density matrix under matcore.checked's rule, converted
-    once; a state vector becomes its normalized projector."""
-    owner, what = f"a comparison in dimension {d}", "a reference"
+    """A reference as a d x d density matrix under matcore.checked's rule; a
+    state vector becomes its normalized projector."""
     try:
-        ref = coerced(reference, np.complex128, (d, d), owner, what)
-    except ValueError:  # refused naming (d,) if the reference reads as a vector
-        try:
-            vector = np.ndim(reference) == 1
-        except ValueError:  # ragged
-            vector = False
-        if vector:
-            coerced(reference, np.complex128, (d,), owner, what)  # raises, naming (d,)
-        raise
-    ref = fitted(ref, (d,) if ref.ndim == 1 else (d, d), owner, what,
-                 misfit="reference of shape {got} does not fit dimension {shape[0]}")
-    if ref.ndim == 1:
+        vector = np.ndim(reference) == 1
+    except ValueError:  # ragged: checked refuses it below, naming the reference
+        vector = False
+    ref = checked(reference, np.complex128, (d,) if vector else (d, d),
+                  f"a comparison in dimension {d}", "a reference",
+                  misfit="reference of shape {got} does not fit dimension {shape[0]}")
+    if vector:
         norm = np.vdot(ref, ref).real
         if norm <= 0.0:
             raise ValueError("reference vector has zero norm")

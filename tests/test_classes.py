@@ -2,6 +2,9 @@
 
 import dataclasses
 import functools
+import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -277,7 +280,7 @@ def test_classes_keep_no_projectors():
     opset = build_set(builtin_family(3))
     basis = opset.family.bases[1]
     passed = tuple(CommutingClass(cls.basis_label, cls.operators,
-                                  tuple(basis.projector(i) for i in range(3)))
+                                  tuple(np.outer(v, v.conj()) for v in basis.matrix.T))
                    for cls in opset.classes)
     rebuilt = OperatorSet(3, passed, opset.family, opset.coefficients)
     cls = build_class(basis)
@@ -645,6 +648,25 @@ def test_non_finite_coefficients_are_refused(d, row):
             OperatorSet(d, opset.array, opset.family, c)
 
 
+# one entry of 1e300 overflows the HS products: hs_orthogonality and
+# completeness fail with no warning and no exception, even under
+# np.seterr(all="raise"), and their JSON form is null
+@pytest.mark.parametrize("d", SUPPORTED_DIMS)
+def test_overflowing_set_fails_without_warning_or_exception(d):
+    opset = supported_set(d)
+    a = np.array(opset.array)
+    a[1, 0, 0, 1] = 1e300
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        report = verify_set(OperatorSet(d, a, opset.family, opset.coefficients))
+    assert not report.passed
+    for check in ("hs_orthogonality", "completeness"):
+        result = report.result(check)
+        assert not result.passed and not math.isfinite(result.worst_deviation)
+        assert result.to_dict() == {"check": check, "worst_deviation": None, "pass": False}
+    json.dumps(report.to_dicts(), allow_nan=False)
+
+
 # build_set and verify_set take their scratch afresh on every call: no set
 # aliases scratch, no call writes into a set, and no call sees another's values
 def test_sets_built_back_to_back_share_no_memory():
@@ -717,7 +739,7 @@ def test_build_set_equals_projector_sum(d):
     opset = build_set(family_for(d))
     c = opset.coefficients
     for cls, basis in zip(opset.classes, opset.family.bases):
-        projectors = [basis.projector(i) for i in range(d)]
+        projectors = [np.outer(v, v.conj()) for v in basis.matrix.T]
         for k, op in enumerate(cls.operators):
             assert np.array_equal(op, sum(c[k, i] * projectors[i] for i in range(d)))
 

@@ -16,6 +16,7 @@ from mubkit.cli import (
     EXIT_IO,
     EXIT_PASS,
     EXIT_UNSUPPORTED,
+    _emit,
     _read_export,
     _write_family,
     main,
@@ -696,6 +697,38 @@ def test_stdout_closed_before_start_exits_io_without_traceback(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr.decode()) == (EXIT_IO, "")
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+# an entry of 1e300 overflows the checks' products: verify fails (exit 1) and
+# prints strict JSON, null for each overflowed check, with nothing on stderr
+@pytest.mark.parametrize("command, name, overflowed", [
+    ("mub", "basis_B2.json", {"orthonormality", "unbiasedness"}),
+    ("operators", "op_B2_k1.json", {"hs_orthogonality", "completeness"})],
+    ids=["family", "operators"])
+def test_verify_of_overflowing_export_prints_strict_json(tmp_path, capsys, command, name,
+                                                         overflowed):
+    out = tmp_path / "export"
+    run_json(capsys, command, "--dim", "3", "--out", str(out))
+    target = out / name
+    data = json.loads(target.read_text())
+    data["data"][0][0]["re"] = 1e300
+    target.write_text(json.dumps(data))
+    proc = subprocess.run([sys.executable, "-m", "mubkit.cli", "verify", "--in", str(out)],
+                          capture_output=True, env=_src_env(), timeout=60)
+    assert (proc.returncode, proc.stderr.decode()) == (EXIT_FAIL, "")
+    report = json.loads(proc.stdout, parse_constant=_refuse_constant)
+    assert {c["check"] for c in report["checks"] if c["worst_deviation"] is None} == overflowed
+    assert not any(c["pass"] for c in report["checks"] if c["check"] in overflowed)
+
+
+def test_emit_refuses_a_non_finite_value_before_writing(capsys):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _emit({"command": "verify", "worst_deviation": float("inf")})
+    assert capsys.readouterr().out == ""
 
 
 def test_unknown_subcommand_exits_two():

@@ -2,6 +2,9 @@
 
 import dataclasses
 import functools
+import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,8 +90,8 @@ def test_canonical_basis_is_identity():
     basis = canonical_basis(4)
     assert np.array_equal(basis.matrix, np.eye(4))
     assert basis.label == "B1"
-    assert np.array_equal(basis.vector(2), np.eye(4)[:, 2])
-    proj = basis.projector(1)
+    assert np.array_equal(basis.matrix[:, 2], np.eye(4)[:, 2])
+    proj = np.outer(basis.matrix[:, 1], basis.matrix[:, 1].conj())
     assert proj[1, 1] == 1.0 and np.abs(proj).sum() == 1.0
 
 
@@ -241,6 +244,24 @@ def test_check_family_flags_perturbed_member():
     report = check_family(MubFamily(3, family.labels, bad))
     assert not report.passed
     assert not report.result("orthonormality").passed
+
+
+# an entry of 1e300 overflows the Gram and overlap products: both checks fail
+# with no warning and no exception, even under np.seterr(all="raise"), and
+# their JSON form is null
+@pytest.mark.parametrize("d", SUPPORTED_DIMS)
+def test_overflowing_family_fails_without_warning_or_exception(d):
+    family = family_for(d)
+    bad = family.array.copy()
+    bad[1, 0, 0] = 1e300
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        report = check_family(MubFamily(d, family.labels, bad))
+    assert [(r.check, r.passed) for r in report] == [
+        ("member_count", True), ("orthonormality", False), ("unbiasedness", False)]
+    assert not any(math.isfinite(r.worst_deviation) for r in report.results[1:])
+    assert [r["worst_deviation"] for r in report.to_dicts()] == [0.0, None, None]
+    json.dumps(report.to_dicts(), allow_nan=False)
 
 
 def test_family_validation_errors():

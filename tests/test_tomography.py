@@ -3,13 +3,14 @@
 import hashlib
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mubkit.classes import build_set
+from mubkit.classes import build_set, coefficient_vectors
 from mubkit.mub import builtin_family, family_for
 from mubkit.tomography import (
     MeasurementRecord,
@@ -29,7 +30,7 @@ from mubkit.tomography import (
     trace_distance,
     write_record,
 )
-from mubkit.tomography import _basis_words, _seed_sequence
+from mubkit.tomography import _basis_words, _seed_words
 from helpers import max_abs
 
 ALL_DIMS = (2, 3, 4, 5, 7)
@@ -286,6 +287,12 @@ TOMOGRAPHY_REFUSALS = {
                                                               reference=object()),
                               r"^a comparison in dimension 3 needs a reference of shape "
                               r"\(3, 3\): "),
+    # the same refusal for a reference given as a nested list
+    "reference-non-numeric-list": (lambda: reconstruct_from_record(_exact_record(3),
+                                                                   build_set(family_for(3)),
+                                                                   reference=[[object()] * 3] * 3),
+                                   r"^a comparison in dimension 3 needs a reference of shape "
+                                   r"\(3, 3\): "),
 }
 
 
@@ -379,6 +386,11 @@ def test_report_metrics_are_the_public_metrics(d):
                 assert report.fidelity is None
             else:
                 assert report.fidelity == fidelity(report.estimate, reference)
+            # a reference given as a nested list gives the same report bytes
+            from_list = reconstruct_from_record(record, opset, project=project,
+                                                reference=reference.tolist())
+            assert json.dumps(from_list.to_dict()) == json.dumps(report.to_dict())
+            assert from_list.estimate.tobytes() == report.estimate.tobytes()
     bad = np.eye(d, dtype=complex) / d
     bad[0, 1] = np.nan
     refusals = (
@@ -389,8 +401,11 @@ def test_report_metrics_are_the_public_metrics(d):
         (np.eye(d - 1), rf"^reference of shape \({d - 1}, {d - 1}\) does not fit dimension {d}$"),
     )
     for reference, message in refusals:
-        with pytest.raises(ValueError, match=message):
-            reconstruct_from_record(record, opset, reference=reference)
+        # each as given, and an array as a nested list
+        listed = reference.tolist() if isinstance(reference, np.ndarray) else reference
+        for form in (reference, listed):
+            with pytest.raises(ValueError, match=message):
+                reconstruct_from_record(record, opset, reference=form)
 
 
 def test_measurement_record_copies_the_callers_array():
@@ -565,7 +580,7 @@ def test_reconstruction_rejects_record_with_foreign_basis_order(relabel):
 @example(-5, [1, 2])
 def test_seed_sequence_pool_matches_the_list_form(seed, key):
     want = np.random.SeedSequence([seed & MASK64, *key]).pool
-    assert np.array_equal(_seed_sequence(seed, *key).pool, want)
+    assert np.array_equal(np.random.SeedSequence(_seed_words(seed, *key)).pool, want)
 
 
 @settings(deadline=None, max_examples=50)
@@ -591,7 +606,7 @@ def test_basis_words_are_the_per_basis_rule(seed):
             want = np.random.SeedSequence([seed & MASK64, b])
             pool = np.random.SeedSequence(words[b]).pool
             assert np.array_equal(pool, want.pool)
-            assert np.array_equal(pool, _seed_sequence(seed, b).pool)
+            assert np.array_equal(pool, np.random.SeedSequence(_seed_words(seed, b)).pool)
             counts = np.random.Generator(np.random.PCG64(want)).multinomial(1000, record.probs[b])
             assert np.array_equal(sampled.probs[b], counts / 1000.0)
 
@@ -667,3 +682,49 @@ def test_exact_records_satisfy_the_purity_identity(d):
         purity = float(np.trace(rho @ rho).real)
         total = float((probabilities(rho, family).probs ** 2).sum())
         assert abs(total - (1.0 + purity)) < 1e-12
+
+
+def chebyshev_rows(d):
+    """The integer discrete Chebyshev rows t_1..t_(d-1) on x = 0..d-1, from
+    t_0 = 1 and (n+1) t_(n+1) = (2n+1)(2x-d+1) t_n - n(d^2-n^2) t_(n-1)."""
+    rows, prev, t = [], [0] * d, [1] * d
+    for n in range(d - 1):
+        nxt = [Fraction((2 * n + 1) * (2 * x - d + 1) * a - n * (d * d - n * n) * b, n + 1)
+               for x, (a, b) in enumerate(zip(t, prev))]
+        assert all(v.denominator == 1 for v in nxt)
+        prev, t = t, [int(v) for v in nxt]
+        rows.append(t)
+    return rows
+
+
+# the expansion is the MUB frame inversion (README): with the identity row,
+# the coefficient rows, each of squared norm d, are an orthogonal basis, so
+# c^T c = d I - J, J the all-ones matrix
+@pytest.mark.parametrize("d", range(2, 27))
+def test_coefficient_gram_is_the_frame_identity(d):
+    rows = chebyshev_rows(d)
+    weights = [Fraction(d, sum(v * v for v in t)) for t in rows]
+    for i in range(d):
+        for j in range(d):
+            entry = sum(w * t[i] * t[j] for w, t in zip(weights, rows))
+            assert entry == d * (i == j) - 1
+    # coefficient_vectors holds the same rows scaled to squared norm d, with
+    # the sign (-1)^k of T(k, 0)
+    c = coefficient_vectors(d)
+    for k, (row, t, w) in enumerate(zip(c, rows, weights), start=1):
+        assert max_abs(row - (-1) ** k * np.sqrt(float(w)) * np.array(t, dtype=float)) < 1e-14
+    assert max_abs(c.T @ c - (d * np.eye(d) - 1.0)) < 1e-14
+
+
+# so reconstruct_from_record gives rho = sum_b B_b diag(p_b) B_b^dag - I,
+# on exact and on sampled records alike
+@pytest.mark.parametrize("d", SUPPORTED_DIMS)
+def test_reconstruction_is_the_mub_frame_inversion(d):
+    family = family_for(d)
+    opset = build_set(family)
+    m = family.array
+    for seed in range(3):
+        exact = probabilities(random_density(d, seed), family)
+        for record in (exact, sample_shots(exact, 1000, seed)):
+            frame = np.einsum("bij,bj,bkj->ik", m, record.probs, m.conj()) - np.eye(d)
+            assert max_abs(reconstruct_from_record(record, opset).estimate - frame) < 1e-14
